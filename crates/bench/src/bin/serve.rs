@@ -10,19 +10,6 @@
 //! and worker-utilization families appear next to the engines' own
 //! metrics.
 //!
-//! The throughput knobs ride the same flags the figure binaries use:
-//! `--batch <N> [--batch-window-ms M]` turns on the coalescing stage
-//! (fusing up to N same-shaped queued jobs into one dispatch — and, for
-//! quota-exact kernels, cross-quota near-misses padded up to a common
-//! geometry under the `--max-pad-ratio` waste cap, default from the
-//! dwi-hls cost model) and `--adaptive` the shard-count controller,
-//! whose small-job decision closes on the windowed p99 of per-group
-//! service time once enough shards have completed. `--compare` runs the same
-//! load twice — once with the knobs off, once with them on — and embeds
-//! the untuned pass as a `"baseline"` object in the JSON, so the
-//! before/after throughput, latency and mean batch occupancy land in one
-//! artifact. The top-level numbers are always the tuned run's.
-//!
 //! `--async [--inflight N] [--rate R]` switches the clients to an
 //! *open-loop* arrival process through the `Session` front-end: each
 //! client thread pipelines up to N jobs (default 256) via `try_submit`,
@@ -36,22 +23,18 @@
 //!
 //! The attribution flags ride on the runtime's job-lifecycle timelines:
 //! `--profile` prints the per-phase latency breakdown (p50/p99 + share of
-//! end-to-end, per lane and per batch-occupancy bucket; `--profile-out`
-//! writes it as JSON), `--slo-ms X` auto-snapshots the flight recorder
-//! when any job's end-to-end latency breaches X ms (`--flight N` sizes
-//! the ring, `--flight-out` dumps it unconditionally), and `--trajectory
-//! <path>` (with `--compare`) appends one JSON line per run so CI can
-//! track the perf trajectory. When batching is configured but mean batch
-//! occupancy stays at 1, a diagnostic names the attributed cause (shape
-//! mismatch vs arrival gap vs window too short) from the same phase data.
+//! end-to-end, overall and per lane; `--profile-out` writes it as JSON),
+//! `--slo-ms X` auto-snapshots the flight recorder when any job's
+//! end-to-end latency breaches X ms (`--flight N` sizes the ring,
+//! `--flight-out` dumps it unconditionally).
 //!
 //! `--http` drives the same closed-loop mix through a loopback
 //! `dwi-server` gateway instead: every submission is a real HTTP POST of
 //! the JSON job spec, `429` backpressure is ridden out with the server's
 //! `Retry-After`, and completions are harvested by long-polling
 //! `/v1/jobs/{id}/wait`. The summary lands in `BENCH_runtime_http.json`
-//! (same `jobs_per_s` / `p99_ms` fields, so the perf gate reads both
-//! artifacts), measuring the network service tier — connection setup,
+//! (same `jobs_per_s` / `p99_ms` fields as the in-process summary),
+//! measuring the network service tier — connection setup,
 //! parsing, admission layers and the registry — on top of the same
 //! runtime.
 //!
@@ -62,56 +45,36 @@
 //! gains the `cache_disk_*` counters; running the same command twice
 //! against one directory is the warm-restart parity check CI performs.
 //!
-//! `--autotune` replaces the hand-set knob flags with a measured search:
-//! a [`KnobSpace`] grid is ranked by the `dwi-hls` analytic serve model,
-//! the survivors (plus the hand-tuned reference vector, always) run
-//! short trials on a reduced copy of the requested load, and the best
-//! *measured* vector configures the tuned pass. The summary JSON gains
-//! an `"autotune"` provenance object and the printed verdict line says
-//! whether the winner beats the reference or reports parity.
-//! `--tuning-store <PATH>` persists the winner per `(kernel,
-//! plan-shape)` — and, without `--autotune`, loads a previously stored
-//! calibration instead of searching (falling back to the reference
-//! knobs when no entry matches).
-//!
 //! The workload mixes quotas, priorities and a deliberate fraction of
 //! repeated `(kernel, plan, seed)` submissions, so one run exercises the
-//! admission queue, the priority lanes, the shard fan-out, the coalescing
-//! stage and the result cache together. `--graph` additionally turns
-//! every third submission into a three-stage [`KernelGraph`] pipeline job
-//! (gamma severity → window aggregate → severity scale), driving the
-//! graph spine — uncoalescable dispatches, stage timeline sub-spans, the
-//! `dwi_runtime_graph_*` metric families — under the same load.
+//! admission queue, the priority lanes, the shard fan-out and the result
+//! cache together. `--graph` additionally turns every third submission
+//! into a three-stage [`KernelGraph`] pipeline job (gamma severity →
+//! window aggregate → severity scale), driving the graph spine — stage
+//! timeline sub-spans, the `dwi_runtime_graph_*` metric families — under
+//! the same load.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dwi_bench::obs::ObsArgs;
-use dwi_bench::profile::{diagnose_batching, timelines_json, Profile};
+use dwi_bench::profile::{timelines_json, Profile};
 use dwi_core::graph::{GraphPlan, KernelGraph};
 use dwi_core::{
     ExecutionPlan, SeverityExpMix, SeverityScale, TruncatedNormalKernel, WindowAggregate,
 };
-use dwi_hls::dataflow::OfferedLoad;
 use dwi_runtime::{
-    AdaptiveSharding, Completion, JobSpec, JobTimeline, Priority, Runtime, RuntimeConfig,
-    SharedKernel, TunedKnobs,
+    Completion, JobSpec, JobTimeline, Priority, Runtime, RuntimeConfig, SharedKernel,
 };
+use dwi_stats::Ecdf;
 use dwi_trace::Recorder;
-use dwi_tune::{Autotuner, KnobSpace, StoredTuning, TuningStore};
 
-#[derive(Clone)]
 struct ServeArgs {
     clients: u32,
     jobs: u32,
     workers: usize,
     queue_bound: usize,
-    batch: Option<usize>,
-    batch_window_ms: u64,
-    max_pad_ratio: Option<f64>,
-    adaptive: bool,
-    compare: bool,
     async_mode: bool,
     graph: bool,
     http: bool,
@@ -123,10 +86,7 @@ struct ServeArgs {
     slo_ms: Option<f64>,
     flight: Option<usize>,
     flight_out: Option<std::path::PathBuf>,
-    trajectory: Option<std::path::PathBuf>,
     cache_dir: Option<std::path::PathBuf>,
-    autotune: bool,
-    tuning_store: Option<std::path::PathBuf>,
 }
 
 impl ServeArgs {
@@ -136,11 +96,6 @@ impl ServeArgs {
             jobs: 32,
             workers: 4,
             queue_bound: 64,
-            batch: None,
-            batch_window_ms: 0,
-            max_pad_ratio: None,
-            adaptive: false,
-            compare: false,
             async_mode: false,
             graph: false,
             http: false,
@@ -152,10 +107,7 @@ impl ServeArgs {
             slo_ms: None,
             flight: None,
             flight_out: None,
-            trajectory: None,
             cache_dir: None,
-            autotune: false,
-            tuning_store: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -168,16 +120,6 @@ impl ServeArgs {
                 "--jobs" => out.jobs = next("--jobs").parse().expect("count"),
                 "--workers" => out.workers = next("--workers").parse().expect("count"),
                 "--queue-bound" => out.queue_bound = next("--queue-bound").parse().expect("count"),
-                "--batch" => out.batch = Some(next("--batch").parse().expect("job count")),
-                "--batch-window-ms" => {
-                    out.batch_window_ms = next("--batch-window-ms").parse().expect("milliseconds")
-                }
-                "--max-pad-ratio" => {
-                    out.max_pad_ratio =
-                        Some(next("--max-pad-ratio").parse().expect("ratio in [0, 1)"))
-                }
-                "--adaptive" => out.adaptive = true,
-                "--compare" => out.compare = true,
                 "--async" => out.async_mode = true,
                 "--graph" => out.graph = true,
                 "--http" => out.http = true,
@@ -189,10 +131,7 @@ impl ServeArgs {
                 "--slo-ms" => out.slo_ms = Some(next("--slo-ms").parse().expect("milliseconds")),
                 "--flight" => out.flight = Some(next("--flight").parse().expect("capacity")),
                 "--flight-out" => out.flight_out = Some(next("--flight-out").into()),
-                "--trajectory" => out.trajectory = Some(next("--trajectory").into()),
                 "--cache-dir" => out.cache_dir = Some(next("--cache-dir").into()),
-                "--autotune" => out.autotune = true,
-                "--tuning-store" => out.tuning_store = Some(next("--tuning-store").into()),
                 _ => {} // --trace/--metrics handled by ObsArgs
             }
         }
@@ -219,39 +158,15 @@ impl ServeArgs {
             || self.flight_out.is_some()
     }
 
-    /// The pool configuration of one pass: the baseline pass drops the
-    /// throughput knobs (and the durable cache — its numbers mean
-    /// "nothing helping"), the tuned pass applies whatever was requested.
-    fn config(&self, tuned: bool) -> RuntimeConfig {
+    /// The pool configuration of a pass: the default runtime at the
+    /// requested width and queue bound, plus the durable tier when
+    /// `--cache-dir` asks for it, with a flight ring large enough for the
+    /// attribution paths.
+    fn config(&self) -> RuntimeConfig {
         let mut cfg = RuntimeConfig::new(self.workers).queue_bound(self.queue_bound);
-        if tuned {
-            if let Some(batch) = self.batch {
-                cfg = cfg.batching(batch, Duration::from_millis(self.batch_window_ms));
-            }
-            if let Some(ratio) = self.max_pad_ratio {
-                cfg = cfg.max_pad_ratio(ratio);
-            }
-            if self.adaptive {
-                cfg = cfg.adaptive(AdaptiveSharding::new());
-            }
-            if let Some(dir) = &self.cache_dir {
-                cfg = cfg.disk_cache(dir.clone());
-            }
-        }
-        self.with_flight(cfg)
-    }
-
-    /// The tuned pass's configuration when a calibration decided the
-    /// knobs (`--autotune` / `--tuning-store`) instead of the flags.
-    fn tuned_config(&self, knobs: &TunedKnobs) -> RuntimeConfig {
-        let mut cfg = RuntimeConfig::tuned(knobs).queue_bound(self.queue_bound);
         if let Some(dir) = &self.cache_dir {
             cfg = cfg.disk_cache(dir.clone());
         }
-        self.with_flight(cfg)
-    }
-
-    fn with_flight(&self, cfg: RuntimeConfig) -> RuntimeConfig {
         let mut capacity = self.flight.unwrap_or(256);
         if self.wants_timelines() {
             // The attribution paths fold over *every* job of the run, so
@@ -265,9 +180,7 @@ impl ServeArgs {
 /// The job mix of one (client, index) slot: quota cycles through three
 /// sizes, every fourth submission repeats a shared seed (cache traffic),
 /// and priorities rotate per client so all three lanes carry load. Each
-/// job is one independent work-item — the paper's natural unit; shard
-/// fan-out under load is what `--adaptive` exercises, splitting hot jobs
-/// across the pool when the queue builds up.
+/// job is one independent work-item — the paper's natural unit.
 fn job_for(client: u32, index: u32, graph_mix: bool) -> JobSpec {
     let quota = [256u64, 512, 1024][(index % 3) as usize];
     let seed = if index % 4 == 3 {
@@ -297,12 +210,13 @@ fn job_for(client: u32, index: u32, graph_mix: bool) -> JobSpec {
     JobSpec::kernel(client, kernel, ExecutionPlan::new(1), seed as u64).priority(priority)
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
+/// Nearest-rank `(p50, p99)` of a latency sample, `(0, 0)` when empty.
+fn p50_p99(latencies_ms: Vec<f64>) -> (f64, f64) {
+    if latencies_ms.is_empty() {
+        return (0.0, 0.0);
     }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
+    let ecdf = Ecdf::new(latencies_ms);
+    (ecdf.quantile(0.5), ecdf.quantile(0.99))
 }
 
 /// What one load pass measured.
@@ -313,14 +227,6 @@ struct Summary {
     p99_ms: f64,
     cache_hits: u64,
     rejections: u64,
-    batches: u64,
-    batched_jobs: u64,
-    /// Idle no-op work-item slots dispatched by cross-quota padding
-    /// (0 while every batch fuses strictly).
-    padded_slots: u64,
-    /// Mean per-batch pad ratio (padded slots / total slots), 0 with no
-    /// fused dispatches.
-    mean_pad_ratio: f64,
     /// Completed multi-stage graph jobs (0 unless `--graph`).
     graph_jobs: u64,
     /// `try_submit` backpressure rejections (0 for closed-loop passes,
@@ -337,35 +243,13 @@ struct Summary {
     cache_disk_rejects: u64,
 }
 
-impl Summary {
-    /// Mean *real* members per fused dispatch. `batched_jobs` counts
-    /// logical jobs only — cross-quota padding adds idle slots, never
-    /// members — so the occupancy a tenant reads is in units of actual
-    /// work, and a run with no batches reads 0 rather than a phantom 1.
-    fn mean_batch_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.batched_jobs as f64 / self.batches as f64
-    }
-}
-
 /// Run the full closed loop once against a fresh pool and recorder.
-fn run_load(args: &ServeArgs, tuned: bool) -> (Summary, Recorder, Vec<JobTimeline>) {
-    run_load_cfg(args, args.config(tuned), Recorder::new())
-}
-
-/// [`run_load`] against an explicit pool configuration and recorder —
-/// the autotuner's measured trials and the calibrated tuned pass both
-/// route through here.
-fn run_load_cfg(
-    args: &ServeArgs,
-    cfg: RuntimeConfig,
-    rec: Recorder,
-) -> (Summary, Recorder, Vec<JobTimeline>) {
-    let rt = Arc::new(Runtime::with_backend_factory(cfg.trace(rec.sink()), |_| {
-        dwi_runtime::named_backend("functional-decoupled")
-    }));
+fn run_load(args: &ServeArgs) -> (Summary, Recorder, Vec<JobTimeline>) {
+    let rec = Recorder::new();
+    let rt = Arc::new(Runtime::with_backend_factory(
+        args.config().trace(rec.sink()),
+        |_| dwi_runtime::named_backend("functional-decoupled"),
+    ));
 
     let t0 = Instant::now();
     let mut threads = Vec::new();
@@ -402,7 +286,7 @@ fn run_load_cfg(
 fn run_load_async(args: &ServeArgs) -> (Summary, Recorder, Vec<JobTimeline>) {
     let rec = Recorder::new();
     let rt = Arc::new(Runtime::with_backend_factory(
-        args.config(true).trace(rec.sink()),
+        args.config().trace(rec.sink()),
         |_| dwi_runtime::named_backend("functional-decoupled"),
     ));
 
@@ -571,22 +455,18 @@ fn run_load_http(args: &ServeArgs) -> Summary {
     }
     let wall = t0.elapsed();
 
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let total_jobs = args.clients as u64 * args.jobs as u64;
     assert_eq!(latencies_ms.len() as u64, total_jobs, "every job harvested");
+    let (p50_ms, p99_ms) = p50_p99(latencies_ms);
     let m = gw.gateway().recorder().metrics();
     let counter = |key: &str| m.counter_value(key).unwrap_or(0);
     let summary = Summary {
         wall_s: wall.as_secs_f64(),
         jobs_per_s: total_jobs as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ms: percentile(&latencies_ms, 50.0),
-        p99_ms: percentile(&latencies_ms, 99.0),
+        p50_ms,
+        p99_ms,
         cache_hits: counter("dwi_runtime_cache_hits_total"),
         rejections: counter("dwi_runtime_jobs_rejected_total"),
-        batches: 0,
-        batched_jobs: 0,
-        padded_slots: 0,
-        mean_pad_ratio: 0.0,
         graph_jobs: counter("dwi_runtime_graph_jobs_total"),
         would_blocks,
         cache_disk_hits: counter("dwi_runtime_cache_disk_hits_total"),
@@ -599,46 +479,19 @@ fn run_load_http(args: &ServeArgs) -> Summary {
 }
 
 /// Fold one pass's wall clock, latencies and counters into a [`Summary`].
-fn summarize(
-    args: &ServeArgs,
-    wall: Duration,
-    mut latencies_ms: Vec<f64>,
-    rec: &Recorder,
-) -> Summary {
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
+fn summarize(args: &ServeArgs, wall: Duration, latencies_ms: Vec<f64>, rec: &Recorder) -> Summary {
     let total_jobs = args.clients as u64 * args.jobs as u64;
     assert_eq!(latencies_ms.len() as u64, total_jobs, "every job harvested");
+    let (p50_ms, p99_ms) = p50_p99(latencies_ms);
     let m = rec.metrics();
     let counter = |key: &str| m.counter_value(key).unwrap_or(0);
-    // The per-batch pad-ratio summary's mean, recovered from the same
-    // exposition the `--metrics` export writes (`_sum` / `_count`).
-    let mean_pad_ratio = {
-        let series = dwi_trace::metrics::parse_prometheus(&rec.prometheus()).unwrap_or_default();
-        let value = |key: &str| {
-            series
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-                .unwrap_or(0.0)
-        };
-        let count = value("dwi_runtime_batch_pad_ratio_count");
-        if count > 0.0 {
-            value("dwi_runtime_batch_pad_ratio_sum") / count
-        } else {
-            0.0
-        }
-    };
     Summary {
         wall_s: wall.as_secs_f64(),
         jobs_per_s: total_jobs as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ms: percentile(&latencies_ms, 50.0),
-        p99_ms: percentile(&latencies_ms, 99.0),
+        p50_ms,
+        p99_ms,
         cache_hits: counter("dwi_runtime_cache_hits_total"),
         rejections: counter("dwi_runtime_jobs_rejected_total"),
-        batches: counter("dwi_runtime_batches_dispatched_total"),
-        batched_jobs: counter("dwi_runtime_batched_jobs_total"),
-        padded_slots: counter("dwi_runtime_padded_slots_total"),
-        mean_pad_ratio,
         graph_jobs: counter("dwi_runtime_graph_jobs_total"),
         would_blocks: counter("dwi_runtime_submit_would_block_total"),
         cache_disk_hits: counter("dwi_runtime_cache_disk_hits_total"),
@@ -651,8 +504,7 @@ fn summarize(
 fn report(label: &str, args: &ServeArgs, s: &Summary) {
     println!(
         "{label}: {} jobs in {:.2}s: {:.1} jobs/s, p50 {:.2} ms, p99 {:.2} ms, \
-         {} cache hits, {} rejections, {} would-blocks, {} batches ({} jobs, {:.2} mean \
-         occupancy, {} padded slots, {:.3} mean pad ratio), {} graph jobs, \
+         {} cache hits, {} rejections, {} would-blocks, {} graph jobs, \
          disk cache {} hits / {} misses ({} spills, {} rejects)",
         args.clients as u64 * args.jobs as u64,
         s.wall_s,
@@ -662,11 +514,6 @@ fn report(label: &str, args: &ServeArgs, s: &Summary) {
         s.cache_hits,
         s.rejections,
         s.would_blocks,
-        s.batches,
-        s.batched_jobs,
-        s.mean_batch_occupancy(),
-        s.padded_slots,
-        s.mean_pad_ratio,
         s.graph_jobs,
         s.cache_disk_hits,
         s.cache_disk_misses,
@@ -675,157 +522,17 @@ fn report(label: &str, args: &ServeArgs, s: &Summary) {
     );
 }
 
-/// How the tuned pass's knobs were decided, for the `"autotune"`
-/// provenance object and the printed verdict line.
-struct Tuning {
-    knobs: TunedKnobs,
-    /// `"measured"` (fresh search), `"store"` (loaded calibration) or
-    /// `"reference"` (store miss — hand-tuned fallback).
-    source: &'static str,
-    trials: usize,
-    /// Measured jobs/s behind `knobs` (0 when nothing was measured).
-    best_score: f64,
-    /// The hand-tuned reference vector's measured jobs/s on the same
-    /// trial load (0 unless a search ran).
-    reference_score: f64,
-    /// The tuning-store key: `kernel|plan-shape`, seed-independent.
-    key: String,
-}
-
-/// Resolve the tuned pass's knob vector from `--autotune` /
-/// `--tuning-store`; `None` when neither flag asks for calibration.
-/// A search emits its `dwi_tune_*` trial metrics through `rec`, which
-/// the caller hands on to the tuned pass so one scrape carries both the
-/// tuner's and the runtime's families.
-fn resolve_tuning(args: &ServeArgs, rec: &Recorder) -> Option<Tuning> {
-    if !args.autotune && args.tuning_store.is_none() {
-        return None;
-    }
-    // The serve mix's dominant shape: single work-item truncated-normal
-    // jobs. Seed-independent by construction, so one calibration covers
-    // every sweep over the same geometry.
-    let key = TuningStore::shape_key("truncated-normal", &ExecutionPlan::new(1).fingerprint());
-
-    if !args.autotune {
-        // `--tuning-store` alone: load-only. A miss falls back to the
-        // hand-tuned reference — stale or absent calibration is never
-        // guessed around.
-        let path = args.tuning_store.as_ref().expect("checked above");
-        let store = TuningStore::load(path);
-        return Some(match store.get(&key) {
-            Some(t) => Tuning {
-                knobs: t.knobs.clone(),
-                source: "store",
-                trials: t.trials,
-                best_score: t.score,
-                reference_score: 0.0,
-                key,
-            },
-            None => Tuning {
-                knobs: TunedKnobs::reference(args.workers),
-                source: "reference",
-                trials: 0,
-                best_score: 0.0,
-                reference_score: 0.0,
-                key,
-            },
-        });
-    }
-
-    // Measured search: short trials on a reduced copy of the requested
-    // load, scored best-of-3 so one scheduler hiccup cannot crown (or
-    // bury) a knob vector. Trials never touch the durable cache
-    // directory (a trial warming the cache would flatter every later
-    // trial) and drop the attribution machinery.
-    let mut trial = args.clone();
-    trial.jobs = args.jobs.div_ceil(2).max(16);
-    trial.cache_dir = None;
-    trial.profile = false;
-    trial.profile_out = None;
-    trial.slo_ms = None;
-    trial.flight_out = None;
-    let mut measure = |knobs: &TunedKnobs| {
-        (0..3)
-            .map(|_| {
-                let cfg = RuntimeConfig::tuned(knobs)
-                    .queue_bound(trial.queue_bound)
-                    .flight_capacity(trial.flight.unwrap_or(256));
-                let (s, _, _) = run_load_cfg(&trial, cfg, Recorder::new());
-                s.jobs_per_s
-            })
-            .fold(0.0f64, f64::max)
-    };
-
-    let space = KnobSpace::serve_default(args.workers);
-    let result = Autotuner::new(rec.sink())
-        .offered_load(OfferedLoad {
-            concurrency: args.clients as f64,
-            job_work_s: 1e-3,
-            dispatch_overhead_s: 2e-4,
-            cross_shape: 0.5,
-        })
-        .search(&space, &mut measure);
-    // The hand-tuned reference is always measured too: the verdict the
-    // acceptance gate reads is best-vs-reference, and if the reference
-    // outruns every searched vector the tuner keeps it (honest parity
-    // beats a regression shipped out of pride).
-    let reference = TunedKnobs::reference(args.workers);
-    let reference_score = measure(&reference);
-    let trials = result.trials + 1;
-    let (knobs, best_score) = if reference_score > result.best_score {
-        (reference, reference_score)
-    } else {
-        (result.best, result.best_score)
-    };
-    println!(
-        "autotune: {} candidates ({} measured, {} pruned by the cost model), \
-         best {:.1} jobs/s vs reference {:.1} jobs/s",
-        trials + result.pruned,
-        trials,
-        result.pruned,
-        best_score,
-        reference_score
-    );
-
-    if let Some(path) = &args.tuning_store {
-        let mut store = TuningStore::load(path);
-        store.insert(
-            key.clone(),
-            StoredTuning {
-                knobs: knobs.clone(),
-                score: best_score,
-                trials,
-            },
-        );
-        store.save(path).expect("write tuning store");
-        println!("tuning store updated: {}", path.display());
-    }
-    Some(Tuning {
-        knobs,
-        source: "measured",
-        trials,
-        best_score,
-        reference_score,
-        key,
-    })
-}
-
 fn main() {
     let args = ServeArgs::from_env();
     let obs = ObsArgs::from_env();
 
     println!(
-        "serve: {} clients x {} jobs on {} workers (queue bound {}, batch {}, window {} ms, \
-         max pad ratio {:.3}, adaptive {}, async {}, graph {}, inflight {}, rate {})",
+        "serve: {} clients x {} jobs on {} workers (queue bound {}, async {}, graph {}, \
+         inflight {}, rate {})",
         args.clients,
         args.jobs,
         args.workers,
         args.queue_bound,
-        args.batch.unwrap_or(1),
-        args.batch_window_ms,
-        args.max_pad_ratio
-            .unwrap_or_else(dwi_core::default_max_pad_ratio),
-        args.adaptive,
         args.async_mode,
         args.graph,
         args.inflight,
@@ -864,50 +571,8 @@ fn main() {
         return;
     }
 
-    // `--autotune` / `--tuning-store`: decide the tuned pass's knob
-    // vector before any full pass runs. The search's trial metrics land
-    // in the recorder the tuned pass will use.
-    let rec = Recorder::new();
-    let tuning = resolve_tuning(&args, &rec);
-
-    // `--compare`: measure the untuned pool first, on identical load.
-    let baseline = args.compare.then(|| run_load(&args, false).0);
-    if let Some(b) = &baseline {
-        report("baseline", &args, b);
-    }
-    let cfg = match &tuning {
-        Some(t) => args.tuned_config(&t.knobs),
-        None => args.config(true),
-    };
-    let (tuned, rec, tuned_timelines) = run_load_cfg(&args, cfg, rec);
-    report(
-        if args.compare { "tuned" } else { "closed-loop" },
-        &args,
-        &tuned,
-    );
-    if let Some(b) = &baseline {
-        println!(
-            "speedup: {:.2}x jobs/s, p99 {:.2} -> {:.2} ms",
-            tuned.jobs_per_s / b.jobs_per_s.max(1e-9),
-            b.p99_ms,
-            tuned.p99_ms
-        );
-    }
-    if let Some(t) = &tuning {
-        if t.source == "measured" {
-            let ratio = t.best_score / t.reference_score.max(1e-9);
-            if ratio >= 1.02 {
-                println!("autotune verdict: beats reference (x{ratio:.2} jobs/s on trials)");
-            } else {
-                println!("autotune verdict: parity with reference (x{ratio:.2} jobs/s on trials)");
-            }
-        } else {
-            println!(
-                "autotune: knobs from {} ({} workers, batch {}, pad cap {:.3})",
-                t.source, t.knobs.workers, t.knobs.batch_max_jobs, t.knobs.max_pad_ratio
-            );
-        }
-    }
+    let (closed, rec, closed_timelines) = run_load(&args);
+    report("closed-loop", &args, &closed);
 
     // `--async`: run the same load open-loop through the session
     // front-end; its recorder (session + runtime metric families) becomes
@@ -917,7 +582,7 @@ fn main() {
         report("async", &args, a);
         println!(
             "async speedup vs closed-loop: {:.2}x jobs/s ({} in flight, rate {})",
-            a.jobs_per_s / tuned.jobs_per_s.max(1e-9),
+            a.jobs_per_s / closed.jobs_per_s.max(1e-9),
             args.inflight,
             if args.rate > 0.0 {
                 format!("{:.0} jobs/s", args.rate)
@@ -928,12 +593,12 @@ fn main() {
     }
 
     // Attribution paths fold over the async pass's timelines when one ran
-    // (that is the pass whose latency needs explaining), else the tuned
-    // closed loop's.
+    // (that is the pass whose latency needs explaining), else the closed
+    // loop's.
     let timelines: &[JobTimeline] = async_pass
         .as_ref()
         .map(|(_, _, t)| t.as_slice())
-        .unwrap_or(&tuned_timelines);
+        .unwrap_or(&closed_timelines);
 
     // `--profile`: the per-phase latency breakdown, text and/or JSON.
     if args.profile || args.profile_out.is_some() {
@@ -945,17 +610,6 @@ fn main() {
             std::fs::write(path, profile.to_json()).expect("write profile report");
             println!("profile written to {}", path.display());
         }
-    }
-
-    // Zero-batches diagnostic: batching was configured but no dispatch
-    // ever carried more than one job — name the attributed cause.
-    let async_summary = async_pass.as_ref().map(|(a, _, _)| a);
-    let active = async_summary.unwrap_or(&tuned);
-    if args.batch.is_some() && active.mean_batch_occupancy() <= 1.0 {
-        println!(
-            "batching diagnostic: {}",
-            diagnose_batching(timelines, Duration::from_millis(args.batch_window_ms))
-        );
     }
 
     // `--slo-ms`: auto-snapshot the flight ring when any job breached the
@@ -987,25 +641,6 @@ fn main() {
         }
     }
 
-    let baseline_json = baseline
-        .as_ref()
-        .map(|b| {
-            format!(
-                "  \"baseline\": {{\n    \"wall_s\": {:.6},\n    \"jobs_per_s\": {:.3},\n    \
-                 \"p50_ms\": {:.4},\n    \"p99_ms\": {:.4},\n    \"cache_hits\": {},\n    \
-                 \"rejections\": {},\n    \"mean_batch_occupancy\": {:.3},\n    \
-                 \"mean_pad_ratio\": {:.4}\n  }},\n",
-                b.wall_s,
-                b.jobs_per_s,
-                b.p50_ms,
-                b.p99_ms,
-                b.cache_hits,
-                b.rejections,
-                b.mean_batch_occupancy(),
-                b.mean_pad_ratio
-            )
-        })
-        .unwrap_or_default();
     let async_json = async_pass
         .as_ref()
         .map(|(a, _, _)| {
@@ -1013,7 +648,6 @@ fn main() {
                 "  \"async\": {{\n    \"inflight\": {},\n    \"rate\": {:.3},\n    \
                  \"wall_s\": {:.6},\n    \"jobs_per_s\": {:.3},\n    \"p50_ms\": {:.4},\n    \
                  \"p99_ms\": {:.4},\n    \"would_blocks\": {},\n    \
-                 \"mean_batch_occupancy\": {:.3},\n    \"mean_pad_ratio\": {:.4},\n    \
                  \"speedup_vs_closed_loop\": {:.3}\n  }},\n",
                 args.inflight,
                 args.rate,
@@ -1022,129 +656,38 @@ fn main() {
                 a.p50_ms,
                 a.p99_ms,
                 a.would_blocks,
-                a.mean_batch_occupancy(),
-                a.mean_pad_ratio,
-                a.jobs_per_s / tuned.jobs_per_s.max(1e-9)
+                a.jobs_per_s / closed.jobs_per_s.max(1e-9)
             )
         })
         .unwrap_or_default();
-    // `--autotune` / `--tuning-store` provenance: where the tuned
-    // pass's knobs came from and what they measured, next to the store
-    // key a later `--tuning-store` run would look up.
-    let autotune_json = tuning
-        .as_ref()
-        .map(|t| {
-            let k = &t.knobs;
-            format!(
-                "  \"autotune\": {{\n    \"source\": \"{}\",\n    \"key\": {},\n    \
-                 \"trials\": {},\n    \"best_score\": {:.3},\n    \
-                 \"reference_score\": {:.3},\n    \"knobs\": {{\"workers\": {}, \
-                 \"batch_max_jobs\": {}, \"batch_window_us\": {}, \"max_pad_ratio\": {:.4}, \
-                 \"shard_min\": {}, \"shard_max\": {}, \"adaptive\": {}}}\n  }},\n",
-                t.source,
-                dwi_trace::json::escape_str(&t.key),
-                t.trials,
-                t.best_score,
-                t.reference_score,
-                k.workers,
-                k.batch_max_jobs,
-                k.batch_window.as_micros(),
-                k.max_pad_ratio,
-                k.shard_min,
-                k.shard_max,
-                k.adaptive
-            )
-        })
-        .unwrap_or_default();
-    // The knobs the tuned pass actually ran with (the calibration's
-    // vector when one was resolved, else the flags).
-    let active = tuning.as_ref().map(|t| t.knobs.clone()).unwrap_or_else(|| {
-        let mut k = TunedKnobs::reference(args.workers);
-        k.batch_max_jobs = args.batch.unwrap_or(1);
-        k.batch_window = Duration::from_millis(args.batch_window_ms);
-        k.max_pad_ratio = args
-            .max_pad_ratio
-            .unwrap_or_else(dwi_core::default_max_pad_ratio);
-        k.adaptive = args.adaptive;
-        k
-    });
     let json = format!(
         "{{\n  \"clients\": {},\n  \"jobs_per_client\": {},\n  \"workers\": {},\n  \
-         \"queue_bound\": {},\n  \"batch_max_jobs\": {},\n  \"batch_window_ms\": {},\n  \
-         \"max_pad_ratio\": {:.4},\n  \"adaptive\": {},\n{}{}{}  \"total_jobs\": {},\n  \
-         \"wall_s\": {:.6},\n  \
+         \"queue_bound\": {},\n{}  \"total_jobs\": {},\n  \"wall_s\": {:.6},\n  \
          \"jobs_per_s\": {:.3},\n  \"p50_ms\": {:.4},\n  \"p99_ms\": {:.4},\n  \
          \"cache_hits\": {},\n  \"rejections\": {},\n  \"cache_disk_hits\": {},\n  \
          \"cache_disk_misses\": {},\n  \"cache_disk_spills\": {},\n  \
-         \"cache_disk_rejects\": {},\n  \"batches_dispatched\": {},\n  \
-         \"batched_jobs\": {},\n  \"mean_batch_occupancy\": {:.3},\n  \
-         \"padded_slots\": {},\n  \"mean_pad_ratio\": {:.4},\n  \"graph_jobs\": {}\n}}\n",
+         \"cache_disk_rejects\": {},\n  \"graph_jobs\": {}\n}}\n",
         args.clients,
         args.jobs,
-        active.workers,
+        args.workers,
         args.queue_bound,
-        active.batch_max_jobs,
-        active.batch_window.as_millis(),
-        active.max_pad_ratio,
-        active.adaptive,
-        autotune_json,
-        baseline_json,
         async_json,
         args.clients as u64 * args.jobs as u64,
-        tuned.wall_s,
-        tuned.jobs_per_s,
-        tuned.p50_ms,
-        tuned.p99_ms,
-        tuned.cache_hits,
-        tuned.rejections,
-        tuned.cache_disk_hits,
-        tuned.cache_disk_misses,
-        tuned.cache_disk_spills,
-        tuned.cache_disk_rejects,
-        tuned.batches,
-        tuned.batched_jobs,
-        tuned.mean_batch_occupancy(),
-        tuned.padded_slots,
-        tuned.mean_pad_ratio,
-        tuned.graph_jobs
+        closed.wall_s,
+        closed.jobs_per_s,
+        closed.p50_ms,
+        closed.p99_ms,
+        closed.cache_hits,
+        closed.rejections,
+        closed.cache_disk_hits,
+        closed.cache_disk_misses,
+        closed.cache_disk_spills,
+        closed.cache_disk_rejects,
+        closed.graph_jobs
     );
     let out = args.out_path();
     std::fs::write(&out, json).expect("write benchmark summary");
     println!("summary written to {}", out.display());
-
-    // `--trajectory` (with `--compare`): append one JSON line per run so
-    // the throughput/latency history accumulates across commits.
-    if let (Some(path), Some(b)) = (&args.trajectory, &baseline) {
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let line = format!(
-            "{{\"unix_ts\": {ts}, \"jobs_per_s\": {:.3}, \"p50_ms\": {:.4}, \
-             \"p99_ms\": {:.4}, \"baseline_jobs_per_s\": {:.3}, \"speedup\": {:.3}, \
-             \"workers\": {}, \"batch_max_jobs\": {}, \"batch_window_us\": {}, \
-             \"max_pad_ratio\": {:.4}, \"adaptive\": {}, \"knobs_source\": \"{}\"}}\n",
-            tuned.jobs_per_s,
-            tuned.p50_ms,
-            tuned.p99_ms,
-            b.jobs_per_s,
-            tuned.jobs_per_s / b.jobs_per_s.max(1e-9),
-            active.workers,
-            active.batch_max_jobs,
-            active.batch_window.as_micros(),
-            active.max_pad_ratio,
-            active.adaptive,
-            tuning.as_ref().map(|t| t.source).unwrap_or("flags")
-        );
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-            .expect("append trajectory entry");
-        println!("trajectory entry appended to {}", path.display());
-    }
 
     // Export the async pass's recorder when one ran — it carries the
     // session metric families on top of the runtime's.

@@ -4,14 +4,11 @@
 //! and merging are bit-exact (see `crates/core/tests/shard_determinism.rs`),
 //! so the flag changes *where* the work runs, never *what* it prints.
 //!
-//! The throughput knobs ride along: `--batch <N> [--batch-window-ms M]`
-//! turns on the coalescing stage and `--adaptive` the shard-count
-//! controller, while `--async [--inflight N]` routes every submission
-//! through a [`Session`](dwi_runtime::Session) completion queue instead of
-//! parking on the job handle. All of them preserve byte-identical output
-//! (batching demuxes bit-identically, adaptivity only changes split counts
-//! the merge erases, and the async path changes only *how* a result is
-//! harvested), which is exactly what the CI parity diffs pin.
+//! `--async [--inflight N]` routes every submission through a
+//! [`Session`](dwi_runtime::Session) completion queue instead of parking
+//! on the job handle. That preserves byte-identical output too (the async
+//! path changes only *how* a result is harvested), which is exactly what
+//! the CI parity diffs pin.
 //!
 //! `--cache-dir <DIR>` turns the result cache on *with a durable disk
 //! tier underneath*: evictions spill to checksummed `.dwic` files and a
@@ -20,16 +17,11 @@
 //! the graph fingerprint keep distinct kernel configurations under one
 //! name apart, so caching no longer has to stay off for correctness —
 //! and hits return the *same bytes* a cold run computes, which the CI
-//! warm-restart parity diff pins. `--tuned <STORE>` loads a `dwi-tune`
-//! calibration and applies its knob vector (workers, batching, pad cap,
-//! shard policy) when the store has one, falling back to these flags.
+//! warm-restart parity diff pins.
 
 use std::time::Duration;
 
-use dwi_runtime::{
-    AdaptiveSharding, JobError, JobOutput, JobSpec, Runtime, RuntimeConfig, TunedKnobs,
-};
-use dwi_tune::TuningStore;
+use dwi_runtime::{JobError, JobOutput, JobSpec, Runtime, RuntimeConfig};
 
 /// The scheduler flags of a figure binary.
 #[derive(Debug, Default, Clone)]
@@ -38,14 +30,6 @@ pub struct RuntimeArgs {
     pub enabled: bool,
     /// `--workers <K>`: pool size (default 4).
     pub workers: Option<usize>,
-    /// `--batch <N>`: fuse up to N same-shaped queued jobs per dispatch.
-    pub batch: Option<usize>,
-    /// `--batch-window-ms <M>`: how long a coalescing worker waits for
-    /// its batch to fill (default 0: fuse only what is already queued).
-    pub batch_window_ms: u64,
-    /// `--adaptive`: pick shard counts from live queue depth and the
-    /// service-time EMA instead of the static default.
-    pub adaptive: bool,
     /// `--async`: harvest results through a session completion queue
     /// instead of blocking on each job handle.
     pub use_async: bool,
@@ -59,10 +43,6 @@ pub struct RuntimeArgs {
     /// directory the figure binaries keep caching disabled, preserving
     /// their historical single-pass behaviour).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// `--tuned <STORE>`: load a `dwi-tune` calibration store and apply
-    /// its knob vector when it has one for the canonical serve shape
-    /// (falling back to the explicit flags on a miss).
-    pub tuned_store: Option<std::path::PathBuf>,
 }
 
 impl RuntimeArgs {
@@ -83,21 +63,8 @@ impl RuntimeArgs {
                         .next()
                         .map(|w| w.parse().expect("--workers takes a count"))
                 }
-                "--batch" => {
-                    out.batch = args
-                        .next()
-                        .map(|b| b.parse().expect("--batch takes a job count"))
-                }
-                "--batch-window-ms" => {
-                    out.batch_window_ms = args
-                        .next()
-                        .map(|m| m.parse().expect("--batch-window-ms takes milliseconds"))
-                        .unwrap_or(0)
-                }
-                "--adaptive" => out.adaptive = true,
                 "--async" => out.use_async = true,
                 "--cache-dir" => out.cache_dir = args.next().map(Into::into),
-                "--tuned" => out.tuned_store = args.next().map(Into::into),
                 "--inflight" => {
                     out.inflight = args
                         .next()
@@ -115,45 +82,16 @@ impl RuntimeArgs {
         self.workers.unwrap_or(4)
     }
 
-    /// The `--tuned` store's calibration for the canonical serve shape
-    /// (single work-item truncated-normal jobs), when the store has one.
-    /// Explicit `--workers` still wins over the stored width.
-    fn tuned_knobs(&self) -> Option<TunedKnobs> {
-        let path = self.tuned_store.as_ref()?;
-        let key = TuningStore::shape_key(
-            "truncated-normal",
-            &dwi_core::ExecutionPlan::new(1).fingerprint(),
-        );
-        let mut knobs = TuningStore::load(path).get(&key)?.knobs.clone();
-        if let Some(w) = self.workers {
-            knobs.workers = w;
-        }
-        Some(knobs)
-    }
-
     /// The pool configuration these flags describe. Caching stays off
     /// unless `--cache-dir` asks for the durable tier: graph-fingerprint
     /// parameter digests keep distinct kernel configurations apart, so
     /// this is a single-pass-economy default, not a correctness rule.
     pub fn config(&self) -> RuntimeConfig {
-        let mut cfg = match self.tuned_knobs() {
-            Some(knobs) => RuntimeConfig::tuned(&knobs),
-            None => {
-                let mut cfg = RuntimeConfig::new(self.workers());
-                if let Some(batch) = self.batch {
-                    cfg = cfg.batching(batch, Duration::from_millis(self.batch_window_ms));
-                }
-                if self.adaptive {
-                    cfg = cfg.adaptive(AdaptiveSharding::new());
-                }
-                cfg
-            }
-        };
-        cfg = match &self.cache_dir {
+        let cfg = RuntimeConfig::new(self.workers());
+        match &self.cache_dir {
             Some(dir) => cfg.disk_cache(dir.clone()),
             None => cfg.cache_capacity(0),
-        };
-        cfg
+        }
     }
 
     /// Build the pool when `--runtime` was passed.
@@ -288,80 +226,5 @@ mod tests {
         let cfg = RuntimeArgs::default().config();
         assert_eq!(cfg.cache_capacity, 0);
         assert_eq!(cfg.disk_cache_dir, None);
-    }
-
-    #[test]
-    fn tuned_store_applies_its_calibration() {
-        use dwi_tune::StoredTuning;
-        let path =
-            std::env::temp_dir().join(format!("dwi_bench_tuned_{}.json", std::process::id()));
-        let mut store = TuningStore::new();
-        let knobs = TunedKnobs {
-            workers: 3,
-            batch_max_jobs: 16,
-            batch_window: Duration::from_micros(150),
-            max_pad_ratio: 0.25,
-            shard_min: 1,
-            shard_max: 3,
-            adaptive: true,
-        };
-        store.insert(
-            TuningStore::shape_key(
-                "truncated-normal",
-                &dwi_core::ExecutionPlan::new(1).fingerprint(),
-            ),
-            StoredTuning {
-                knobs: knobs.clone(),
-                score: 100.0,
-                trials: 4,
-            },
-        );
-        store.save(&path).unwrap();
-
-        let args = RuntimeArgs {
-            enabled: true,
-            tuned_store: Some(path.clone()),
-            ..Default::default()
-        };
-        let cfg = args.config();
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.batch_max_jobs, 16);
-        assert_eq!(cfg.batch_window, Duration::from_micros(150));
-        assert_eq!(cfg.max_pad_ratio, 0.25);
-        // Explicit --workers still wins over the stored width.
-        let args = RuntimeArgs {
-            enabled: true,
-            workers: Some(8),
-            tuned_store: Some(path.clone()),
-            ..Default::default()
-        };
-        assert_eq!(args.config().workers, 8);
-        // A missing store falls back to the flags untouched.
-        let args = RuntimeArgs {
-            enabled: true,
-            tuned_store: Some("/nonexistent/store.json".into()),
-            ..Default::default()
-        };
-        assert_eq!(args.config().batch_max_jobs, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn throughput_knobs_reach_the_config() {
-        let args = RuntimeArgs {
-            enabled: true,
-            workers: Some(2),
-            batch: Some(8),
-            batch_window_ms: 2,
-            adaptive: true,
-            ..Default::default()
-        };
-        let cfg = args.config();
-        assert_eq!(cfg.batch_max_jobs, 8);
-        assert_eq!(cfg.batch_window, Duration::from_millis(2));
-        assert_eq!(cfg.adaptive, Some(AdaptiveSharding::new()));
-        // And the pool still serves tasks with the knobs on.
-        let pool = args.build().expect("pool");
-        assert_eq!(on_pool(Some(&pool), || 6 * 7), 42);
     }
 }

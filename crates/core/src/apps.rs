@@ -62,13 +62,6 @@ impl WorkItemKernel for TruncatedNormalKernel {
         self.quota
     }
 
-    // The instance flips `done` on the exact step that emits sample
-    // `quota` — no delayed loop-exit tail — so padded cross-quota fusion
-    // cannot over-step a lane.
-    fn quota_exact(&self) -> bool {
-        true
-    }
-
     fn param_digest(&self) -> u64 {
         crate::digest::Digest::new()
             .f32(self.a)
@@ -196,12 +189,6 @@ impl WorkItemKernel for SeverityExpMix {
 
     fn outputs_per_workitem(&self) -> u64 {
         self.quota
-    }
-
-    // `done` fires on the accepting step of the final sample (no tail
-    // iterations), so the mixture sampler is safe to pad across quotas.
-    fn quota_exact(&self) -> bool {
-        true
     }
 
     fn param_digest(&self) -> u64 {

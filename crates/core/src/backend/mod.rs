@@ -30,14 +30,12 @@
 
 mod cyclesim;
 mod functional;
-mod fused;
 mod lockstep;
 mod ndrange;
 mod simt;
 
 pub use cyclesim::CycleSim;
 pub use functional::FunctionalDecoupled;
-pub use fused::{default_max_pad_ratio, FusedBatch, FusedJob, SharedWorkItemKernel};
 pub use lockstep::LockstepCoupled;
 pub use ndrange::NdRange;
 pub use simt::SimtTrace;
@@ -206,10 +204,8 @@ impl ExecutionPlan {
     }
 
     /// The geometry-free half of [`fingerprint`](Self::fingerprint):
-    /// everything that must match for two plans to be *fusable* into one
-    /// batched dispatch ([`FusedBatch`]) — stream depth, burst length,
-    /// combining, clock and channel, but **not** the work-item count or
-    /// offset (batching concatenates exactly those).
+    /// local size, stream depth, burst length, combining, clock and
+    /// channel, but **not** the work-item count or offset.
     pub fn shape_fingerprint(&self) -> String {
         format!(
             "l{}/d{}/b{}/{:?}/f{}/ch{:?}",
@@ -264,9 +260,7 @@ pub enum BackendDetail {
         /// per-shard maxima.
         round_max: Vec<u64>,
         /// Attempts per round for every lane (lane-major, `quota` entries
-        /// each; 0 once a truncated lane idles). Kept so a *fused* batch
-        /// report demultiplexes exactly: a member's round cost is the max
-        /// over its own lanes only ([`FusedBatch::demux`]).
+        /// each; 0 once a truncated lane idles).
         lane_attempts: Vec<Vec<u64>>,
     },
     /// [`NdRange`]: the flat output stream and per-group pipeline cost.

@@ -46,8 +46,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::{Backend, ExecutionPlan, RunReport, SharedWorkItemKernel};
-use crate::kernel::{KernelInstance, Step, WorkItemKernel};
+use crate::backend::{Backend, ExecutionPlan, RunReport};
+use crate::kernel::{KernelInstance, SharedWorkItemKernel, Step, WorkItemKernel};
 use dwi_hls::dataflow::DataflowGraph;
 use dwi_hls::stream::{Consumer, Stream};
 use dwi_rng::RejectionStats;
@@ -238,12 +238,11 @@ impl KernelGraph {
     /// [`ExecutionPlan::fingerprint`] plus the source kernel's quota and
     /// phase count — the plan fingerprint alone carries only geometry, so
     /// without the kernel half two jobs differing *only* in per-work-item
-    /// quota (same name, seed and plan — exactly what cross-quota batch
-    /// fusion coalesces) would collide in the result cache and the
-    /// in-flight dedup index. A multi-stage graph appends its topology
-    /// digest (which already embeds every node's quota) and edge depth,
-    /// so two graphs sharing a source but differing anywhere downstream
-    /// can never collide (and can never fuse into one batch).
+    /// quota (same name, seed and plan) would collide in the result cache
+    /// and the in-flight dedup index. A multi-stage graph appends its
+    /// topology digest (which already embeds every node's quota) and edge
+    /// depth, so two graphs sharing a source but differing anywhere
+    /// downstream can never collide.
     ///
     /// Both forms end with `|k{digest}`: the FNV-1a fold of every node's
     /// constructor-parameter digest. Name, quota and topology say nothing
@@ -1030,8 +1029,8 @@ mod tests {
         );
         // The kernel half matters: the same plan under a different quota
         // must produce a different cache identity (jobs differing only in
-        // quota are exactly what padded batch fusion coalesces — they must
-        // never collide in the result cache or the in-flight dedup index).
+        // quota must never collide in the result cache or the in-flight
+        // dedup index).
         let doubled = KernelGraph::single(Arc::new(SeverityExpMix::credit_severity(128, 3)));
         let halved = KernelGraph::single(Arc::new(SeverityExpMix::credit_severity(64, 3)));
         assert_ne!(doubled.fingerprint(&plan), halved.fingerprint(&plan));

@@ -165,21 +165,6 @@ pub trait WorkItemKernel: Sync {
         1
     }
 
-    /// True when every work-item reports [`Step::done`] on the very step
-    /// that emits its final output — no trailing iterations after the last
-    /// emission. Cross-quota batch fusion relies on this: the lockstep
-    /// engine drives each lane for exactly `quota` emission rounds, so a
-    /// member padded up to a larger mate's quota sits out the extra rounds
-    /// *only if* it is already `done` at its own quota. A kernel with
-    /// delayed loop-exit tail steps (e.g. [`GammaListing2`]'s
-    /// `prevCounter`) would be over-stepped by the padded dispatch —
-    /// executing iterations its unbatched run never executes — so it must
-    /// keep the conservative default `false` and fuse only with
-    /// exact-shape mates.
-    fn quota_exact(&self) -> bool {
-        false
-    }
-
     /// Stable digest of the kernel's constructor parameters — everything
     /// that changes emitted values but is visible neither in
     /// [`name`](WorkItemKernel::name) nor in the quota/phase shape
@@ -201,6 +186,10 @@ pub trait WorkItemKernel: Sync {
     /// — the design-time unique id of Listing 1.
     fn instantiate(&self, wid: u32) -> Box<dyn KernelInstance>;
 }
+
+/// A shareable kernel object — what the runtime dispatches and what a
+/// [`KernelGraph`](crate::graph::KernelGraph) sources from.
+pub type SharedWorkItemKernel = std::sync::Arc<dyn WorkItemKernel + Send + Sync>;
 
 /// The paper's Listing 2 as a [`WorkItemKernel`]: the nested gamma
 /// generator (Mersenne-Twisters with enable flags, Marsaglia-Tsang

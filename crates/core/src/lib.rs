@@ -46,9 +46,8 @@ pub mod validation;
 
 pub use apps::{SeverityExpMix, TruncatedNormalKernel};
 pub use backend::{
-    all_backends, default_max_pad_ratio, Backend, BackendDetail, CycleSim, ExecutionPlan,
-    FunctionalDecoupled, FusedBatch, FusedJob, LockstepCoupled, NdRange, RunReport,
-    SharedWorkItemKernel, SimtTrace,
+    all_backends, Backend, BackendDetail, CycleSim, ExecutionPlan, FunctionalDecoupled,
+    LockstepCoupled, NdRange, RunReport, SimtTrace,
 };
 pub use config::{IcdfStyle, PaperConfig, Workload};
 pub use coupled::{lockstep_counterfactual, CoupledRun};
@@ -65,7 +64,8 @@ pub use graph::{
     StageInstance, StageKernel, StagedKernel,
 };
 pub use kernel::{
-    Divergence, DivergenceCounts, GammaListing2, KernelInstance, Step, WorkItemKernel,
+    Divergence, DivergenceCounts, GammaListing2, KernelInstance, SharedWorkItemKernel, Step,
+    WorkItemKernel,
 };
 pub use model::{eq1_runtime_s, iterations_runtime_s, FpgaRuntimeModel};
 pub use ndrange_variant::{ndrange_runtime_s, NdRangeRun, NdRangeRunner};

@@ -3,8 +3,8 @@
 //! 1. **Degenerate-case identity** — a one-node [`KernelGraph`] is the
 //!    bare kernel: same samples, same cycles, and a cache fingerprint
 //!    that extends the plan's with the kernel's own quota/phase shape
-//!    (so jobs differing only in quota — the cross-quota fusion case —
-//!    can never collide), on all five backends. The graph spine may
+//!    (so jobs differing only in quota can never collide), on all five
+//!    backends. The graph spine may
 //!    therefore carry single-kernel jobs without any observable change.
 //! 2. **Composition parity** — a pipe-connected pipeline run produces
 //!    exactly the samples of an explicit host-mediated stage-by-stage

@@ -248,210 +248,9 @@ impl DataflowGraph {
     }
 }
 
-/// Break-even pad ratio for fusing near-miss batch members.
-///
-/// Fusing a short member into a longer mate's dispatch replaces one
-/// dispatch overhead with padded slots that occupy pipeline rounds
-/// without emitting. Let `saved_overhead` be the dispatch overhead a
-/// fusion removes and `real_work` the useful slot-work the padded member
-/// contributes, both in the same unit (e.g. seconds, or slot-rounds at
-/// the pipeline's II). Padding pays for itself while
-///
-/// ```text
-/// padded_slots / total_slots ≤ saved_overhead / (real_work + saved_overhead)
-/// ```
-///
-/// — at the boundary, the padded rounds cost exactly the overhead they
-/// save. The returned ratio is the right default for a waste cap
-/// (`max_pad_ratio`): admit a candidate only while the batch stays at or
-/// under it.
-pub fn fusion_break_even(saved_overhead: f64, real_work: f64) -> f64 {
-    assert!(
-        saved_overhead >= 0.0 && real_work > 0.0,
-        "need non-negative overhead and positive work"
-    );
-    saved_overhead / (real_work + saved_overhead)
-}
-
-/// One candidate runtime knob vector, as the analytic serve model sees
-/// it — the axes the `dwi-tune` autotuner searches.
-#[derive(Clone, Copy, Debug)]
-pub struct KnobModel {
-    /// Worker threads (virtual devices).
-    pub workers: f64,
-    /// Most logical jobs one fused dispatch may cover.
-    pub batch_max_jobs: f64,
-    /// Seconds a coalescing worker waits for its batch to fill.
-    pub batch_window_s: f64,
-    /// Waste cap for cross-quota padded fusion, in `[0, 1)`.
-    pub max_pad_ratio: f64,
-}
-
-/// The offered workload the knob vector is scored against.
-#[derive(Clone, Copy, Debug)]
-pub struct OfferedLoad {
-    /// Jobs concurrently in flight (closed-loop clients).
-    pub concurrency: f64,
-    /// Useful per-job service time, seconds.
-    pub job_work_s: f64,
-    /// Per-dispatch overhead a fusion amortizes, seconds.
-    pub dispatch_overhead_s: f64,
-    /// Fraction of offered jobs that can fuse only via cross-quota
-    /// padding (shapes differing in per-work-item quota), in `[0, 1]`.
-    pub cross_shape: f64,
-}
-
-/// Analytic jobs/s bound for one knob vector under one offered load —
-/// the autotuner's pruning filter: cheap enough to score a whole grid,
-/// faithful enough that the measured trials only need to rank the
-/// survivors.
-///
-/// The model composes the costs this crate and the runtime already
-/// account for:
-///
-/// * each worker coalesces `fill = min(batch_max, concurrency/workers)`
-///   jobs per dispatch, amortizing one `dispatch_overhead_s` across the
-///   batch;
-/// * cross-shape jobs join a batch only through padding. Their pad
-///   requirements spread over `[0, 1/2]`, so a waste cap `p` admits a
-///   `min(1, 2p)` share of them, and an admitted member burns padded
-///   rounds per [`fusion_break_even`]'s accounting — work inflates by
-///   `p̄/(1−p̄)` at the admitted population's mean pad ratio `p̄ = p/2`;
-/// * a batch that cannot fill eats its whole window before dispatching
-///   (the window only costs when arrivals cannot cover `batch_max`).
-///
-/// Raising the cap therefore trades admission (more mates to fuse,
-/// fewer stranded dispatches) against slot waste — the bound peaks near
-/// the break-even cap instead of growing monotonically.
-pub fn knob_throughput_bound(knobs: &KnobModel, load: &OfferedLoad) -> f64 {
-    assert!(
-        load.job_work_s > 0.0 && load.concurrency >= 1.0,
-        "need positive work and at least one client"
-    );
-    let workers = knobs.workers.max(1.0);
-    let per_worker = (load.concurrency / workers).max(1.0);
-    let pad = knobs.max_pad_ratio.clamp(0.0, 0.99);
-    let cross = load.cross_shape.clamp(0.0, 1.0);
-    // Fusible pool per worker: exact-shape mates always, cross-quota
-    // mates in proportion to how far the waste cap opens.
-    let admitted = (2.0 * pad).min(1.0);
-    let pool = per_worker * ((1.0 - cross) + cross * admitted);
-    let fill = knobs.batch_max_jobs.max(1.0).min(pool).max(1.0);
-    // Admitted cross members inflate the batch's slot-work by the padded
-    // rounds they occupy (mean pad ratio p/2 across the admitted spread).
-    let mean_pad = pad / 2.0;
-    let inflation = 1.0 + cross * admitted * (mean_pad / (1.0 - mean_pad));
-    let mut batch_secs = load.dispatch_overhead_s + fill * load.job_work_s * inflation;
-    if fill + 0.5 < knobs.batch_max_jobs {
-        batch_secs += knobs.batch_window_s;
-    }
-    workers * fill / batch_secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn break_even_ratio_brackets_sensibly() {
-        // No overhead saved → padding never pays.
-        assert_eq!(fusion_break_even(0.0, 1.0), 0.0);
-        // Overhead worth one member's service time, two equal members →
-        // a third of the fused slots may be padding (the runtime's
-        // documented default for `max_pad_ratio`).
-        let r = fusion_break_even(1.0, 2.0);
-        assert!((r - 1.0 / 3.0).abs() < 1e-12);
-        // Overhead dominating the work pushes the cap towards (but never
-        // to) 1.
-        assert!(fusion_break_even(100.0, 1.0) > 0.9);
-        assert!(fusion_break_even(100.0, 1.0) < 1.0);
-    }
-
-    #[test]
-    fn knob_bound_rewards_batching_under_load() {
-        let load = OfferedLoad {
-            concurrency: 64.0,
-            job_work_s: 1e-3,
-            dispatch_overhead_s: 1e-3,
-            cross_shape: 0.0,
-        };
-        let solo = KnobModel {
-            workers: 4.0,
-            batch_max_jobs: 1.0,
-            batch_window_s: 0.0,
-            max_pad_ratio: 0.0,
-        };
-        let batched = KnobModel {
-            batch_max_jobs: 8.0,
-            ..solo
-        };
-        // Eight-way fusion amortizes the per-dispatch overhead.
-        assert!(knob_throughput_bound(&batched, &load) > knob_throughput_bound(&solo, &load));
-        // More workers never hurt while concurrency covers them.
-        let wide = KnobModel {
-            workers: 8.0,
-            ..batched
-        };
-        assert!(knob_throughput_bound(&wide, &load) > knob_throughput_bound(&batched, &load));
-    }
-
-    #[test]
-    fn knob_bound_peaks_near_the_break_even_pad_cap() {
-        let load = OfferedLoad {
-            concurrency: 32.0,
-            job_work_s: 1e-3,
-            dispatch_overhead_s: 1e-3,
-            cross_shape: 0.5,
-        };
-        let at = |pad: f64| {
-            knob_throughput_bound(
-                &KnobModel {
-                    workers: 4.0,
-                    batch_max_jobs: 8.0,
-                    batch_window_s: 0.0,
-                    max_pad_ratio: pad,
-                },
-                &load,
-            )
-        };
-        // A closed cap strands the cross-shape half of the load; a
-        // nearly-open cap drowns the batch in padded rounds. The
-        // break-even region beats both ends.
-        assert!(at(1.0 / 3.0) > at(0.0));
-        assert!(at(1.0 / 3.0) > at(0.95));
-    }
-
-    #[test]
-    fn knob_bound_charges_the_window_only_when_batches_cannot_fill() {
-        let starved = OfferedLoad {
-            concurrency: 2.0,
-            job_work_s: 1e-3,
-            dispatch_overhead_s: 1e-4,
-            cross_shape: 0.0,
-        };
-        let no_window = KnobModel {
-            workers: 2.0,
-            batch_max_jobs: 8.0,
-            batch_window_s: 0.0,
-            max_pad_ratio: 0.0,
-        };
-        let windowed = KnobModel {
-            batch_window_s: 5e-3,
-            ..no_window
-        };
-        assert!(
-            knob_throughput_bound(&windowed, &starved)
-                < knob_throughput_bound(&no_window, &starved)
-        );
-        // Saturated arrivals fill the batch before the window matters.
-        let saturated = OfferedLoad {
-            concurrency: 64.0,
-            ..starved
-        };
-        let a = knob_throughput_bound(&windowed, &saturated);
-        let b = knob_throughput_bound(&no_window, &saturated);
-        assert!((a - b).abs() < 1e-9);
-    }
 
     #[test]
     fn single_source_sink_pipeline() {

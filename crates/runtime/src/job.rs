@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use crate::session::CompletionShared;
 use crate::timeline::{JobOutcome, JobTimeline};
 
-use dwi_core::backend::{ExecutionPlan, FusedBatch, RunReport};
+use dwi_core::backend::{ExecutionPlan, RunReport};
 use dwi_core::graph::{GraphPlan, GraphReport, KernelGraph};
 use dwi_core::kernel::WorkItemKernel;
 
@@ -390,23 +390,6 @@ pub(crate) enum Status {
     Failed(JobError),
 }
 
-/// One logical job riding a fused batch, plus any queued repeats of it
-/// (identical cache key) that the coalescing stage deduplicated — the
-/// repeats receive the member's `Arc<RunReport>` without re-execution.
-pub(crate) struct BatchMember {
-    pub state: Arc<JobState>,
-    pub dupes: Vec<Arc<JobState>>,
-}
-
-/// The demux half of a fused dispatch, carried by the synthetic batch
-/// job's [`JobInner`]: when the fused run merges, its report is split
-/// back into per-member reports (bit-identical to unbatched execution)
-/// and delivered through `members` in fusion order.
-pub(crate) struct BatchDemux {
-    pub fused: FusedBatch,
-    pub members: Vec<BatchMember>,
-}
-
 pub(crate) struct JobInner {
     pub status: Status,
     /// Per-shard reports, filled as workers finish (graph jobs —
@@ -427,9 +410,6 @@ pub(crate) struct JobInner {
     /// Total backpressure backoff the submitting thread slept out before
     /// this job was admitted (zero for first-try admissions).
     pub backoff: Duration,
-    /// Set only on the synthetic job of a fused dispatch: how to split
-    /// the merged report back into the members' reports.
-    pub batch: Option<BatchDemux>,
     /// In-flight-deduplicated repeats of this job: submissions with the
     /// same `(kernel, plan, seed)` cache key that arrived while this job
     /// was queued or running. They never entered the admission queue —
@@ -476,7 +456,6 @@ impl JobState {
                 cache_key: None,
                 admitted: now,
                 backoff: Duration::ZERO,
-                batch: None,
                 followers: Vec::new(),
                 timeline: JobTimeline::new(id, spec_client, priority.label()),
             }),
@@ -539,23 +518,10 @@ impl JobState {
     }
 }
 
-/// Fail a job *and* — when it is the synthetic job of a fused dispatch —
-/// every batch member, deduplicated repeat, and in-flight-dedup follower
-/// hanging off it. Used on runtime teardown, where whole shard trees are
-/// abandoned at once.
+/// Fail a job *and* every in-flight-dedup follower hanging off it. Used
+/// on runtime teardown, where whole shard trees are abandoned at once.
 pub(crate) fn fail_tree(state: &JobState, err: JobError) {
-    let (batch, followers) = {
-        let mut inner = state.lock();
-        (inner.batch.take(), std::mem::take(&mut inner.followers))
-    };
-    if let Some(b) = batch {
-        for m in b.members {
-            fail_tree(&m.state, err);
-            for d in m.dupes {
-                fail_tree(&d, err);
-            }
-        }
-    }
+    let followers = std::mem::take(&mut state.lock().followers);
     for f in followers {
         // Followers never have followers of their own (only a registered
         // leader accrues them), so this recursion is depth-1.

@@ -17,23 +17,16 @@
 //! The pipeline per job:
 //!
 //! ```text
-//! submit ──▶ admission queue ──▶ coalesce ──▶ split(n) ──▶ shard queue ──▶ workers ──▶ merge ──▶ demux ──▶ JobHandle::wait
-//!   │   (bounded; reject +     (fuse same-    (adaptive or    (any worker     (Backend::run      (fused batch
-//!   │    retry-after when       shaped jobs    static shard    takes the       per graph shard)   back into
-//!   ▼    full)                  into one       count)          next shard)                        per-job reports)
+//! submit ──▶ admission queue ──▶ split(n) ──▶ shard queue ──▶ workers ──▶ merge ──▶ JobHandle::wait
+//!   │   (bounded; reject +     (explicit or    (any worker     (Backend::run
+//!   │    retry-after when       default shard   takes the       per graph shard)
+//!   ▼    full)                  count)          next shard)
 //! result cache (source kernel, graph fingerprint, seed) ── hit? return immediately
 //! ```
 //!
-//! The **coalescing stage** ([`RuntimeConfig::batching`]) fuses up to
-//! `max_jobs` queued jobs sharing a
-//! [`FusedJob::batch_key`](dwi_core::backend::FusedJob::batch_key) into
-//! one dispatch along the group axis and demultiplexes the fused report
-//! back into per-job reports — bit-identical to unbatched execution
-//! (`crates/core/tests/batch_determinism.rs`). The **adaptive shard
-//! controller** ([`RuntimeConfig::adaptive`]) sizes each dispatch's split
-//! from live queue depth and the per-group service-time EMA; an explicit
-//! [`JobSpec::shards`] override always wins, which is what the parity
-//! paths (`table3 --runtime`) pin on.
+//! Each dispatch splits into the job's explicit [`JobSpec::shards`]
+//! override — what the parity paths (`table3 --runtime`) pin on — or
+//! else [`RuntimeConfig::default_shards`].
 //!
 //! Guarantees:
 //!
@@ -93,7 +86,6 @@ pub use job::{
 pub use queue::SubmitRejected;
 pub use remote::{RemoteChannel, RemoteError};
 pub use session::{Completion, Session, Ticket};
-pub use shard::AdaptiveSharding;
 pub use timeline::{JobOutcome, JobTimeline, ShardSpan, PHASES, STAGE_PHASES};
 
 use std::collections::{HashMap, VecDeque};
@@ -103,8 +95,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dwi_core::backend::{
-    Backend, CycleSim, ExecutionPlan, FunctionalDecoupled, FusedJob, LockstepCoupled, NdRange,
-    RunReport, SimtTrace,
+    Backend, CycleSim, ExecutionPlan, FunctionalDecoupled, LockstepCoupled, NdRange, RunReport,
+    SimtTrace,
 };
 use dwi_core::graph::{GraphPlan, GraphReport, KernelGraph};
 use dwi_trace::{FlightRecorder, TraceSink};
@@ -127,23 +119,6 @@ pub struct RuntimeConfig {
     pub cache_capacity: usize,
     /// Default shard count for kernel jobs (`None`: the worker count).
     pub default_shards: Option<u32>,
-    /// Most logical jobs one fused dispatch may cover (1 disables the
-    /// coalescing stage).
-    pub batch_max_jobs: usize,
-    /// How long a worker holding a coalescable job waits for more
-    /// same-shaped jobs to arrive before dispatching (zero: fuse only
-    /// what is already queued, never wait).
-    pub batch_window: Duration,
-    /// Adaptive shard-count controller (`None`: every kernel job without
-    /// an explicit override uses [`default_shards`](Self::default_shards)).
-    pub adaptive: Option<AdaptiveSharding>,
-    /// Waste cap for cross-quota batch fusion: jobs whose shapes differ
-    /// only in per-work-item quota may fuse by padding the short members
-    /// up to the longest mate, as long as padded slots / total slots
-    /// stays at or under this ratio. 0 restricts the coalescing stage to
-    /// exact-shape fusion; the default is the `dwi-hls` cost model's
-    /// break-even point ([`dwi_core::default_max_pad_ratio`], 1/3).
-    pub max_pad_ratio: f64,
     /// Flight-recorder capacity: the last N completed [`JobTimeline`]s
     /// are kept in an always-on ring (0 disables), dumpable via
     /// [`Runtime::flight_dump`] — the post-hoc answer to "what did the
@@ -165,42 +140,19 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Defaults: 64-job queue, 32-entry cache, shard-per-worker, batching
-    /// and adaptivity off, a 256-timeline flight recorder, tracing off.
+    /// Defaults: 64-job queue, 32-entry cache, shard-per-worker, a
+    /// 256-timeline flight recorder, tracing off.
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
             queue_bound: 64,
             cache_capacity: 32,
             default_shards: None,
-            batch_max_jobs: 1,
-            batch_window: Duration::ZERO,
-            adaptive: None,
-            max_pad_ratio: dwi_core::default_max_pad_ratio(),
             flight_capacity: 256,
             disk_cache_dir: None,
             disk_cache_capacity: 256,
             sink: TraceSink::disabled(),
         }
-    }
-
-    /// A configuration built from autotuned knobs (`dwi-tune` output):
-    /// every searched axis applied, everything else at defaults. When the
-    /// knobs ask for adaptive sharding the shard bounds configure the
-    /// controller; otherwise `shard_max` becomes the fixed default shard
-    /// count.
-    pub fn tuned(knobs: &TunedKnobs) -> Self {
-        let mut cfg = Self::new(knobs.workers)
-            .batching(knobs.batch_max_jobs.max(1), knobs.batch_window)
-            .max_pad_ratio(knobs.max_pad_ratio.clamp(0.0, 0.99));
-        if knobs.adaptive {
-            cfg = cfg.adaptive(
-                AdaptiveSharding::new().bounds(knobs.shard_min.max(1), knobs.shard_max.max(1)),
-            );
-        } else {
-            cfg = cfg.default_shards(knobs.shard_max.max(1));
-        }
-        cfg
     }
 
     /// Set the admission-queue bound (≥ 1).
@@ -220,34 +172,6 @@ impl RuntimeConfig {
     pub fn default_shards(mut self, shards: u32) -> Self {
         assert!(shards >= 1);
         self.default_shards = Some(shards);
-        self
-    }
-
-    /// Enable job batching: fuse up to `max_jobs` same-shaped queued jobs
-    /// into one dispatch, waiting up to `window` for the batch to fill.
-    /// Results stay bit-identical to unbatched execution (pinned by
-    /// `crates/core/tests/batch_determinism.rs` and the runtime suite).
-    pub fn batching(mut self, max_jobs: usize, window: Duration) -> Self {
-        assert!(max_jobs >= 1, "a batch covers at least one job");
-        self.batch_max_jobs = max_jobs;
-        self.batch_window = window;
-        self
-    }
-
-    /// Attach the adaptive shard-count controller.
-    pub fn adaptive(mut self, cfg: AdaptiveSharding) -> Self {
-        self.adaptive = Some(cfg);
-        self
-    }
-
-    /// Set the waste cap for cross-quota (padded) batch fusion, in
-    /// `[0, 1)`. 0 disables padding — only exact-shape jobs fuse.
-    pub fn max_pad_ratio(mut self, ratio: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&ratio),
-            "pad ratio cap must be in [0, 1)"
-        );
-        self.max_pad_ratio = ratio;
         self
     }
 
@@ -277,84 +201,12 @@ impl RuntimeConfig {
     }
 }
 
-/// The knob vector the `dwi-tune` autotuner searches over — exactly the
-/// runtime sizing axes that move serve throughput: pool width, batch
-/// coalescing shape, the padded-fusion waste cap, and the shard policy.
-/// [`RuntimeConfig::tuned`] turns a vector into a full configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TunedKnobs {
-    /// Worker threads (virtual devices).
-    pub workers: usize,
-    /// Most logical jobs one fused dispatch may cover (1 disables
-    /// coalescing).
-    pub batch_max_jobs: usize,
-    /// How long a coalescing worker waits for the batch to fill.
-    pub batch_window: Duration,
-    /// Waste cap for cross-quota padded fusion, in `[0, 1)`.
-    pub max_pad_ratio: f64,
-    /// Adaptive controller's lower shard bound (or unused when
-    /// [`adaptive`](Self::adaptive) is off).
-    pub shard_min: u32,
-    /// Adaptive upper bound — or the *fixed* shard count when
-    /// [`adaptive`](Self::adaptive) is off.
-    pub shard_max: u32,
-    /// Whether the p99-closed adaptive shard controller runs.
-    pub adaptive: bool,
-}
-
-impl TunedKnobs {
-    /// The hand-tuned reference vector for a `workers`-wide pool: the
-    /// serve path's documented defaults (batch 8 / 200 µs window, the
-    /// cost model's pad cap, adaptive sharding across `1..=workers`).
-    /// This is the baseline the autotuner must beat — and the fallback
-    /// when no tuning store entry matches.
-    pub fn reference(workers: usize) -> Self {
-        let workers = workers.max(1);
-        Self {
-            workers,
-            batch_max_jobs: 8,
-            batch_window: Duration::from_micros(200),
-            max_pad_ratio: dwi_core::default_max_pad_ratio(),
-            shard_min: 1,
-            shard_max: workers as u32,
-            adaptive: true,
-        }
-    }
-}
-
 pub(crate) struct SchedState {
     pub queue: AdmissionQueue,
     pub shards: VecDeque<ShardTask>,
     pub shutdown: bool,
     /// EMA of shard service time in seconds (0 until the first shard).
     pub ema_shard_secs: f64,
-    /// EMA of per-NDRange-group service time in seconds — the adaptive
-    /// controller's size-normalized latency feed (0 until the first
-    /// kernel shard).
-    pub ema_group_secs: f64,
-    /// EMA of remote shard round-trip time in seconds (0 until the first
-    /// remote completion) — the attached pools' own service-time view,
-    /// kept separate so network latency never skews the local feeds.
-    pub ema_remote_secs: f64,
-    /// Sliding window of the last [`SHARD_WINDOW`] per-group shard
-    /// service times — the tail-latency feed the adaptive controller
-    /// steers on (p99 reacts to stragglers the mean-tracking EMA
-    /// smooths away). Empty until the first kernel shard.
-    pub recent_group_secs: VecDeque<f64>,
-}
-
-/// Samples the p99 sketch keeps: enough for a stable tail estimate,
-/// small enough that the O(n log n) quantile under the scheduler lock
-/// stays in the microseconds.
-pub(crate) const SHARD_WINDOW: usize = 256;
-
-impl SchedState {
-    /// p99 of the windowed per-group service times; 0.0 while the window
-    /// holds too few samples for a tail to mean anything (the controller
-    /// then falls back to the EMA prior).
-    pub fn p99_group_secs(&self) -> f64 {
-        crate::shard::quantile(&self.recent_group_secs, 0.99)
-    }
 }
 
 /// Shared scheduler core (workers hold an `Arc` of it).
@@ -369,19 +221,11 @@ pub(crate) struct Core {
     pub queue_bound: usize,
     pub workers: usize,
     pub default_shards: u32,
-    pub batch_max: usize,
-    pub batch_window: Duration,
-    pub adaptive: Option<AdaptiveSharding>,
-    /// Waste cap for cross-quota padded fusion (see
-    /// [`RuntimeConfig::max_pad_ratio`]).
-    pub max_pad_ratio: f64,
     /// Always-on ring of the last N completed job timelines.
     pub flight: FlightRecorder<JobTimeline>,
-    /// Job-id mint, shared with the dispatch path (fused batches get a
-    /// synthetic job with its own id).
+    /// Job-id mint.
     pub next_id: AtomicU64,
-    /// Remote worker pools currently attached (drives the gauge and the
-    /// adaptive controller's effective pool width).
+    /// Remote worker pools currently attached (drives the gauge).
     pub remote_workers: AtomicUsize,
     /// In-flight dedup index: cache key → the job currently queued or
     /// running under it. A submission that finds a live, non-terminal
@@ -579,9 +423,6 @@ impl Runtime {
                 shards: VecDeque::new(),
                 shutdown: false,
                 ema_shard_secs: 0.0,
-                ema_group_secs: 0.0,
-                ema_remote_secs: 0.0,
-                recent_group_secs: VecDeque::with_capacity(SHARD_WINDOW),
             }),
             work_cv: Condvar::new(),
             sink: config.sink.clone(),
@@ -599,10 +440,6 @@ impl Runtime {
                 .default_shards
                 .unwrap_or(config.workers as u32)
                 .max(1),
-            batch_max: config.batch_max_jobs.max(1),
-            batch_window: config.batch_window,
-            adaptive: config.adaptive,
-            max_pad_ratio: config.max_pad_ratio,
             flight: FlightRecorder::new(config.flight_capacity),
             next_id: AtomicU64::new(0),
             remote_workers: AtomicUsize::new(0),
@@ -708,7 +545,6 @@ impl Runtime {
                 state: state.clone(),
                 work: JobWork::Task(f),
                 shards: Some(1),
-                batch: None,
                 remote: None,
             },
             payload => {
@@ -772,40 +608,11 @@ impl Runtime {
                     }
                     map.insert(key.clone(), Arc::downgrade(&state));
                 }
-                // Deadline jobs must not sit out a batch window; explicit
-                // shard overrides are the deterministic dispatch path;
-                // multi-stage graphs have nothing to fuse along the group
-                // axis; remote-eligible jobs keep their wire description
-                // attached to every shard (a fused dispatch would strand
-                // it) — all four stay out of the coalescing stage.
-                let batch = (self.core.batch_max > 1
-                    && spec.deadline.is_none()
-                    && spec.shards.is_none()
-                    && spec.remote.is_none()
-                    && graph.is_single())
-                .then(|| {
-                    let kernel = graph.source();
-                    queue::BatchShape {
-                        strict: Arc::from(FusedJob::batch_key(kernel.as_ref(), &plan.base)),
-                        // Some only for quota-exact kernels: the relaxed
-                        // key under which this job may ride a padded
-                        // cross-quota batch.
-                        pad: FusedJob::pad_key(kernel.as_ref(), &plan.base).map(Arc::from),
-                        quota: kernel.outputs_per_workitem(),
-                        workitems: plan.base.workitems,
-                    }
-                });
-                {
-                    let mut inner = state.lock();
-                    inner.cache_key = cache_key;
-                    inner.timeline.batch_key = batch.as_ref().map(|b| b.strict.clone());
-                    inner.timeline.pad_key = batch.as_ref().and_then(|b| b.pad.clone());
-                }
+                state.lock().cache_key = cache_key;
                 QueuedJob {
                     state: state.clone(),
                     work: JobWork::Graph { graph, plan },
                     shards: spec.shards,
-                    batch,
                     remote: spec.remote,
                 }
             }
@@ -931,14 +738,7 @@ impl Runtime {
             .metrics
             .queue_depth(lane, st.queue.lane_depth(lane));
         drop(st);
-        if self.core.batch_window > Duration::ZERO {
-            // A worker may be parked on the condvar waiting for its
-            // batch to fill; notify_one could hand the wakeup to it and
-            // leave a genuinely idle worker asleep — wake everyone.
-            self.core.work_cv.notify_all();
-        } else {
-            self.core.work_cv.notify_one();
-        }
+        self.core.work_cv.notify_one();
         Ok(())
     }
 }
@@ -965,8 +765,7 @@ impl Drop for Runtime {
         for h in remote {
             let _ = h.join();
         }
-        // Unblock any waiters on work the pool never reached — including
-        // members of fused batches whose synthetic job never merged.
+        // Unblock any waiters on work the pool never reached.
         let mut st = self.core.lock_state();
         while let Some(job) = st.queue.pop() {
             crate::job::fail_tree(&job.state, JobError::Cancelled);

@@ -107,37 +107,6 @@ impl RuntimeMetrics {
             .set_gauge(fam::WORKER_UTILIZATION, &[("worker", worker)], frac);
     }
 
-    /// One fused dispatch covering `occupancy` logical jobs (members plus
-    /// within-batch deduplicated repeats).
-    pub fn batch_dispatched(&self, occupancy: usize) {
-        self.sink.counter(fam::BATCHES_DISPATCHED, &[]).inc();
-        self.sink
-            .counter(fam::BATCHED_JOBS, &[])
-            .add(occupancy as u64);
-        self.sink
-            .observe(fam::BATCH_OCCUPANCY, &[], occupancy as f64);
-    }
-
-    /// Padding accounting for one fused dispatch: `padded_slots` idle
-    /// no-op slots at `pad_ratio` of the batch's total. Recorded for
-    /// every batch — strict batches contribute 0 — so the pad families
-    /// are live whenever batching is.
-    pub fn batch_padding(&self, padded_slots: u64, pad_ratio: f64) {
-        self.sink.counter(fam::PADDED_SLOTS, &[]).add(padded_slots);
-        self.sink.observe(fam::BATCH_PAD_RATIO, &[], pad_ratio);
-    }
-
-    /// Current tail-latency control signal: the windowed p99 of
-    /// per-group shard service time once the window holds enough
-    /// samples (`signal="window"`), the EMA cold-start prior until then
-    /// (`signal="ema-prior"`). Distinct series, so a dashboard never
-    /// mistakes the mean-tracking prior for a real p99.
-    pub fn shard_p99(&self, secs: f64, windowed: bool) {
-        let signal = if windowed { "window" } else { "ema-prior" };
-        self.sink
-            .set_gauge(fam::SHARD_P99, &[("signal", signal)], secs);
-    }
-
     /// Shard count chosen for one kernel dispatch.
     pub fn shards_per_job(&self, shards: u32) {
         self.sink.observe(fam::SHARDS_PER_JOB, &[], shards as f64);

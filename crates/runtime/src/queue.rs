@@ -14,18 +14,11 @@ use dwi_core::graph::{GraphPlan, KernelGraph};
 pub(crate) struct QueuedJob {
     pub state: Arc<JobState>,
     pub work: JobWork,
-    /// Explicit shard-count override ([`JobSpec::shards`]); `None` lets
-    /// the runtime decide at dispatch time (adaptive controller when
-    /// configured, static default otherwise).
+    /// Explicit shard-count override ([`JobSpec::shards`]); `None` takes
+    /// the runtime's default shard count at dispatch time.
     ///
     /// [`JobSpec::shards`]: crate::JobSpec::shards
     pub shards: Option<u32>,
-    /// Fusion-compatibility shape when this job may ride a batch:
-    /// single-node graph jobs without a deadline or an explicit shard
-    /// override, on a runtime with batching enabled. `None` marks the
-    /// job non-coalescable (multi-stage graphs never coalesce — their
-    /// work-item fusion is the pipeline itself).
-    pub batch: Option<BatchShape>,
     /// Wire-expressible job description carried down to every shard,
     /// making them eligible for remote dispatch ([`JobSpec::remote`]).
     ///
@@ -41,100 +34,6 @@ pub(crate) enum JobWork {
         plan: GraphPlan,
     },
     Task(TaskFn),
-}
-
-/// The fusion-compatibility shape of one coalescable job: the strict
-/// key ([`FusedJob::batch_key`]) under which it fuses for free, the
-/// relaxed key ([`FusedJob::pad_key`], `Some` only for quota-exact
-/// kernels) under which it may ride a cross-quota batch as padding, and
-/// the geometry the pad-budget accounting needs.
-///
-/// [`FusedJob::batch_key`]: dwi_core::FusedJob::batch_key
-/// [`FusedJob::pad_key`]: dwi_core::FusedJob::pad_key
-#[derive(Clone)]
-pub(crate) struct BatchShape {
-    /// Exact-shape key: equal keys fuse with zero padding.
-    pub strict: Arc<str>,
-    /// Quota-relaxed key: equal (and present) keys fuse under padding.
-    pub pad: Option<Arc<str>>,
-    /// The kernel's per-work-item quota.
-    pub quota: u64,
-    /// The plan's work-item count.
-    pub workitems: u32,
-}
-
-impl BatchShape {
-    /// True when `other` can share a batch with `self` at all — exactly
-    /// shaped, or quota-relaxed with both sides pad-eligible.
-    pub fn admits(&self, other: &BatchShape) -> bool {
-        self.strict == other.strict
-            || matches!((&self.pad, &other.pad), (Some(a), Some(b)) if a == b)
-    }
-}
-
-/// Greedy waste-budget accounting for one forming batch: members are
-/// admitted while `padded_slots / total_slots` stays at or under the
-/// cap, where a member with quota `q` contributes `workitems · (q_max −
-/// q)` padded slots and `workitems · q_max` total slots (`q_max` the
-/// largest admitted quota). Mirrors [`FusedBatch::pad_ratio`] so the
-/// fuse-time backstop assert can never trip on queue-admitted members.
-///
-/// [`FusedBatch::pad_ratio`]: dwi_core::FusedBatch::pad_ratio
-pub(crate) struct PadBudget {
-    max_pad_ratio: f64,
-    /// Admitted members' `(workitems, quota)`.
-    members: Vec<(u32, u64)>,
-}
-
-impl PadBudget {
-    /// An empty budget under `max_pad_ratio`.
-    pub fn new(max_pad_ratio: f64) -> Self {
-        Self {
-            max_pad_ratio,
-            members: Vec::new(),
-        }
-    }
-
-    /// Admit the batch leader unconditionally (a single job is never
-    /// padded against itself).
-    pub fn seed(&mut self, workitems: u32, quota: u64) {
-        self.members.push((workitems, quota));
-    }
-
-    /// Admit `(workitems, quota)` iff the batch's pad ratio stays at or
-    /// under the cap afterwards.
-    pub fn try_admit(&mut self, workitems: u32, quota: u64) -> bool {
-        self.members.push((workitems, quota));
-        if self.ratio() <= self.max_pad_ratio {
-            true
-        } else {
-            self.members.pop();
-            false
-        }
-    }
-
-    /// Padded slots of the admitted set.
-    pub fn padded_slots(&self) -> u64 {
-        let q_max = self.q_max();
-        self.members
-            .iter()
-            .map(|&(wi, q)| wi as u64 * (q_max - q))
-            .sum()
-    }
-
-    /// Current pad ratio of the admitted set.
-    pub fn ratio(&self) -> f64 {
-        let q_max = self.q_max();
-        let total: u64 = self.members.iter().map(|&(wi, _)| wi as u64 * q_max).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.padded_slots() as f64 / total as f64
-    }
-
-    fn q_max(&self) -> u64 {
-        self.members.iter().map(|&(_, q)| q).max().unwrap_or(0)
-    }
 }
 
 /// One lane: per-client FIFOs, popped round-robin so a flood from one
@@ -197,76 +96,6 @@ impl AdmissionQueue {
     /// Queued jobs in one lane (the queue-depth gauge).
     pub fn lane_depth(&self, p: Priority) -> usize {
         self.lanes[p.index()].len
-    }
-
-    /// Queued jobs that would join a batch forming around `shape` right
-    /// now — strictly shaped, or quota-relaxed *and* inside the waste
-    /// budget — what a coalescing worker polls while its batch window is
-    /// open. Dry-runs the same [`PadBudget`] admission
-    /// [`drain_compatible`](Self::drain_compatible) applies, scanning in
-    /// the same order, so the window closes as soon as enough genuinely
-    /// admissible mates are queued instead of waiting out the window on
-    /// candidates the drain would refuse.
-    pub fn compatible(&self, shape: &BatchShape, max_pad_ratio: f64) -> usize {
-        let mut budget = PadBudget::new(max_pad_ratio);
-        budget.seed(shape.workitems, shape.quota);
-        let mut n = 0;
-        for lane in &self.lanes {
-            let clients = lane.clients.len();
-            for i in 0..clients {
-                let (_, q) = &lane.clients[(lane.next + i) % clients];
-                n += q
-                    .iter()
-                    .filter(|j| {
-                        j.batch.as_ref().is_some_and(|b| {
-                            shape.admits(b) && budget.try_admit(b.workitems, b.quota)
-                        })
-                    })
-                    .count();
-            }
-        }
-        n
-    }
-
-    /// Remove up to `max` jobs fusable with `shape`, in dispatch order
-    /// (strict lane priority, round-robin across clients within a lane,
-    /// FIFO within a client) — the coalescing stage's bulk pop. Every
-    /// candidate (exact-shape or quota-relaxed) is admitted through
-    /// `budget`, so the drained set's pad ratio respects the waste cap;
-    /// refused candidates, jobs with a different key, a deadline, or an
-    /// explicit shard override (`batch == None`) are left exactly where
-    /// they were.
-    pub fn drain_compatible(
-        &mut self,
-        shape: &BatchShape,
-        max: usize,
-        budget: &mut PadBudget,
-    ) -> Vec<QueuedJob> {
-        let mut out = Vec::new();
-        for lane in &mut self.lanes {
-            let n = lane.clients.len();
-            for i in 0..n {
-                if out.len() >= max {
-                    return out;
-                }
-                let idx = (lane.next + i) % n;
-                let q = &mut lane.clients[idx].1;
-                let mut j = 0;
-                while j < q.len() && out.len() < max {
-                    let fusable = q[j]
-                        .batch
-                        .as_ref()
-                        .is_some_and(|b| shape.admits(b) && budget.try_admit(b.workitems, b.quota));
-                    if fusable {
-                        out.push(q.remove(j).expect("index was in bounds"));
-                        lane.len -= 1;
-                    } else {
-                        j += 1;
-                    }
-                }
-            }
-        }
-        out
     }
 }
 

@@ -138,10 +138,8 @@ pub(crate) fn remote_loop(core: Arc<Core>, mut channel: Box<dyn RemoteChannel>) 
         match channel.run(spec, graph, plan) {
             Ok(report) => {
                 let t_end = Instant::now();
-                let dt = (t_end - t_start).as_secs_f64();
-                let groups = plan.groups() as u64;
-                core.metrics.remote_shard_executed(&label, dt);
-                core.record_remote_shard(dt, groups);
+                core.metrics
+                    .remote_shard_executed(&label, (t_end - t_start).as_secs_f64());
                 core.finish_kernel_shard(
                     &shard.state,
                     shard.index,
@@ -166,20 +164,5 @@ pub(crate) fn remote_loop(core: Arc<Core>, mut channel: Box<dyn RemoteChannel>) 
                 return;
             }
         }
-    }
-}
-
-impl Core {
-    /// Feed the remote service-time EMA (the remote pool's own latency
-    /// view, network round trip included). Deliberately separate from
-    /// the local EMAs: remote latency must not skew the adaptive
-    /// controller's per-group feed or the backpressure retry hint.
-    pub(crate) fn record_remote_shard(&self, dt_s: f64, _groups: u64) {
-        let mut st = self.lock_state();
-        st.ema_remote_secs = if st.ema_remote_secs > 0.0 {
-            0.8 * st.ema_remote_secs + 0.2 * dt_s
-        } else {
-            dt_s
-        };
     }
 }

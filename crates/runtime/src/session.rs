@@ -18,10 +18,8 @@
 //! (dropping the session cancels everything still in flight).
 //!
 //! Everything behind admission is unchanged: session jobs ride the same
-//! bounded queue, priority lanes, coalescing stage, shard dispatch and
-//! result cache as blocking submissions — which is what lets the PR 4
-//! batcher finally see deep compatible backlogs from a *single* tenant
-//! thread.
+//! bounded queue, priority lanes, shard dispatch and result cache as
+//! blocking submissions.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};

@@ -1,9 +1,6 @@
-//! Shard explosion and the adaptive shard-count controller: turning one
-//! admitted job into the work-item slices the worker pool actually
-//! executes, and deciding *how many* slices pay off given what the pool
-//! is observing right now.
+//! Shard explosion: turning one admitted job into the work-item slices
+//! the worker pool actually executes.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::job::{JobState, Status, TaskFn};
@@ -34,134 +31,6 @@ pub(crate) enum ShardWork {
     Task(TaskFn),
 }
 
-/// The adaptive shard-count controller's configuration. When attached via
-/// [`RuntimeConfig::adaptive`](crate::RuntimeConfig::adaptive), kernel
-/// jobs submitted *without* an explicit
-/// [`JobSpec::shards`](crate::JobSpec::shards) override get their shard
-/// count picked at dispatch time from live pool state:
-///
-/// * **deep backlog → 1 shard** — when at least as many jobs are waiting
-///   as there are workers, parallelism across jobs already saturates the
-///   pool; splitting would only add merge overhead;
-/// * **light load → go wide** — otherwise split across the idle workers
-///   so a lone big job still uses the whole pool;
-/// * **small jobs → 1 shard** — when the service-time EMA predicts the
-///   whole job under [`small_job_secs`](Self::small_job_secs), splitting
-///   costs more than it saves;
-/// * **hard bounds** — the result is always clamped to
-///   `[min_shards, max_shards]` (and, as everywhere, to the plan's group
-///   count by [`ExecutionPlan::split`](dwi_core::ExecutionPlan::split)).
-///
-/// An explicit per-job `shards(n)` always wins — that is the
-/// deterministic override the parity paths (`table3 --runtime`) use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSharding {
-    /// Lower bound on the chosen shard count (≥ 1).
-    pub min_shards: u32,
-    /// Upper bound on the chosen shard count (≥ `min_shards`).
-    pub max_shards: u32,
-    /// Predicted whole-job service time below which splitting is not
-    /// worth the merge overhead (seconds).
-    pub small_job_secs: f64,
-}
-
-impl Default for AdaptiveSharding {
-    /// Bounds `[1, 64]`, small-job cutoff 200 µs.
-    fn default() -> Self {
-        Self {
-            min_shards: 1,
-            max_shards: 64,
-            small_job_secs: 200e-6,
-        }
-    }
-}
-
-impl AdaptiveSharding {
-    /// The default controller (bounds `[1, 64]`, 200 µs cutoff).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the hard shard-count bounds.
-    pub fn bounds(mut self, min_shards: u32, max_shards: u32) -> Self {
-        assert!(min_shards >= 1, "need at least one shard");
-        assert!(
-            min_shards <= max_shards,
-            "min_shards must not exceed max_shards"
-        );
-        self.min_shards = min_shards;
-        self.max_shards = max_shards;
-        self
-    }
-
-    /// Set the small-job cutoff (seconds of predicted service time).
-    pub fn small_job_secs(mut self, secs: f64) -> Self {
-        assert!(secs >= 0.0);
-        self.small_job_secs = secs;
-        self
-    }
-}
-
-/// Samples the shard-completion window must hold before its p99 is
-/// trusted over the EMA prior — below this, an empirical tail quantile
-/// is mostly the sample maximum and over-reacts to a single outlier.
-pub(crate) const MIN_P99_SAMPLES: usize = 16;
-
-/// Nearest-rank quantile of a sliding sample window, `0.0` while the
-/// window holds fewer than [`MIN_P99_SAMPLES`] points (the caller falls
-/// back to its EMA prior — the controller's cold-start behaviour).
-pub(crate) fn quantile(window: &VecDeque<f64>, q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile order must be in [0, 1]");
-    if window.len() < MIN_P99_SAMPLES {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = window.iter().copied().collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Pick a shard count for a job of `groups` NDRange groups given the
-/// pool's current state: `backlog` is queued jobs + pending shards,
-/// `ema_group_secs` the observed per-group service-time EMA (0 until the
-/// first shard completes), and `p99_group_secs` the windowed tail of the
-/// same feed (0 until the window fills — see [`quantile`]). The small-job
-/// decision closes on the *tail*, not the mean, once the tail is
-/// observable: a job is only "small enough not to split" when even its
-/// p99 prediction lands under the cutoff, so a latency mode hiding below
-/// a benign mean still triggers splitting. Pure — the controller's whole
-/// policy lives here so the tests can drive it with synthetic feeds.
-pub(crate) fn pick_shards(
-    cfg: &AdaptiveSharding,
-    groups: u32,
-    workers: usize,
-    backlog: usize,
-    ema_group_secs: f64,
-    p99_group_secs: f64,
-) -> u32 {
-    let mut shards = if backlog >= workers {
-        // Enough independent jobs to feed every worker: don't split.
-        1
-    } else {
-        // Spread a lone job across the workers the backlog leaves idle.
-        workers.saturating_sub(backlog).max(1) as u32
-    };
-    // Tail-closed service-time prediction: p99 once the window holds
-    // enough samples, EMA as the cold-start prior.
-    let group_secs = if p99_group_secs > 0.0 {
-        p99_group_secs
-    } else {
-        ema_group_secs
-    };
-    if group_secs > 0.0 && group_secs * groups as f64 <= cfg.small_job_secs {
-        // Predicted to finish before a split would pay for itself.
-        shards = 1;
-    }
-    shards
-        .clamp(cfg.min_shards, cfg.max_shards)
-        .min(groups.max(1))
-}
-
 /// Split a popped job into `shards` shard tasks and initialize its merge
 /// bookkeeping. Graph jobs shard along [`GraphPlan::split`] — every stage
 /// slices on the same work-item range, so the global work-item ids (and
@@ -179,7 +48,7 @@ pub(crate) fn explode(job: QueuedJob, shards: u32) -> Vec<ShardTask> {
                 inner.remaining = n;
                 inner.plan = Some(plan);
                 inner.graph = Some(graph.clone());
-                inner.timeline.mark_dispatched(n as u32);
+                inner.timeline.shards = n as u32;
             }
             shard_plans
                 .into_iter()
@@ -200,7 +69,7 @@ pub(crate) fn explode(job: QueuedJob, shards: u32) -> Vec<ShardTask> {
                 let mut inner = job.state.lock();
                 inner.status = Status::Running;
                 inner.remaining = 1;
-                inner.timeline.mark_dispatched(1);
+                inner.timeline.shards = 1;
             }
             vec![ShardTask {
                 state: job.state,
@@ -210,107 +79,5 @@ pub(crate) fn explode(job: QueuedJob, shards: u32) -> Vec<ShardTask> {
                 remote: None,
             }]
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const POOL: usize = 4;
-
-    fn cfg() -> AdaptiveSharding {
-        AdaptiveSharding::new()
-    }
-
-    #[test]
-    fn deep_backlog_collapses_to_one_shard() {
-        // Backlog ≥ workers: per-job splitting adds nothing.
-        for backlog in POOL..POOL + 8 {
-            assert_eq!(pick_shards(&cfg(), 64, POOL, backlog, 0.01, 0.0), 1);
-        }
-    }
-
-    #[test]
-    fn idle_pool_splits_a_big_job_wide() {
-        assert_eq!(pick_shards(&cfg(), 64, POOL, 0, 0.01, 0.0), POOL as u32);
-        // A partial backlog leaves only the idle workers to fill.
-        assert_eq!(pick_shards(&cfg(), 64, POOL, 1, 0.01, 0.0), 3);
-        assert_eq!(pick_shards(&cfg(), 64, POOL, 3, 0.01, 0.0), 1);
-    }
-
-    #[test]
-    fn small_jobs_never_split() {
-        // 4 groups at 10 µs/group = 40 µs, far under the 200 µs cutoff.
-        assert_eq!(pick_shards(&cfg(), 4, POOL, 0, 10e-6, 0.0), 1);
-        // Same job with no EMA yet (cold start): width wins.
-        assert_eq!(pick_shards(&cfg(), 4, POOL, 0, 0.0, 0.0), 4);
-    }
-
-    #[test]
-    fn bounds_are_hard() {
-        let c = cfg().bounds(2, 3);
-        // Small-job and backlog collapses are raised to the floor...
-        assert_eq!(pick_shards(&c, 64, POOL, POOL, 0.01, 0.0), 2);
-        assert_eq!(pick_shards(&c, 64, POOL, 0, 1e-9, 0.0), 2);
-        // ...and a wide split is capped at the ceiling.
-        assert_eq!(pick_shards(&c, 64, 16, 0, 0.01, 0.0), 3);
-        // The group count still caps everything (split() can't exceed it).
-        assert_eq!(pick_shards(&c, 1, 16, 0, 0.01, 0.0), 1);
-    }
-
-    #[test]
-    fn converges_as_the_latency_feed_moves() {
-        // Drive the controller with a synthetic EMA feed crossing the
-        // cutoff: the decision must flip exactly once, monotonically.
-        let c = cfg();
-        let groups = 8u32;
-        let feed = [1e-6, 5e-6, 20e-6, 24e-6, 26e-6, 100e-6, 1e-3];
-        let picks: Vec<u32> = feed
-            .iter()
-            .map(|&ema| pick_shards(&c, groups, POOL, 0, ema, 0.0))
-            .collect();
-        // 8 groups × 25 µs crosses the 200 µs cutoff (inclusive below).
-        assert_eq!(picks, vec![1, 1, 1, 1, 4, 4, 4]);
-    }
-
-    #[test]
-    fn p99_overrides_a_benign_mean() {
-        // Mean says "small job, don't split" (8 × 10 µs = 80 µs ≤ cutoff)
-        // but the observed tail says one group in a hundred takes 50 µs
-        // (8 × 50 µs = 400 µs > cutoff): the tail-closed controller keeps
-        // splitting, the mean-closed one would collapse to 1.
-        let c = cfg();
-        assert_eq!(pick_shards(&c, 8, POOL, 0, 10e-6, 0.0), 1);
-        assert_eq!(pick_shards(&c, 8, POOL, 0, 10e-6, 50e-6), POOL as u32);
-        // A tight tail confirms the mean's verdict.
-        assert_eq!(pick_shards(&c, 8, POOL, 0, 10e-6, 12e-6), 1);
-    }
-
-    #[test]
-    fn quantile_is_zero_until_the_window_fills() {
-        let mut w = VecDeque::new();
-        for i in 0..MIN_P99_SAMPLES - 1 {
-            w.push_back(i as f64);
-            assert_eq!(quantile(&w, 0.99), 0.0, "at {} samples", w.len());
-        }
-        w.push_back(100.0);
-        assert!(quantile(&w, 0.99) > 0.0);
-    }
-
-    #[test]
-    fn quantile_nearest_rank_brackets_the_tail() {
-        // 100 samples 1..=100: p99 is the 99th order statistic, p50 the
-        // 50th, p100 the max — nearest-rank, no interpolation.
-        let w: VecDeque<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile(&w, 0.99), 99.0);
-        assert_eq!(quantile(&w, 0.5), 50.0);
-        assert_eq!(quantile(&w, 1.0), 100.0);
-        // One outlier among many fast samples moves p99 only once it
-        // crosses the rank — p50 never sees it.
-        let mut w: VecDeque<f64> = std::iter::repeat_n(1e-6, 99).collect();
-        w.push_back(1.0);
-        assert_eq!(quantile(&w, 0.5), 1e-6);
-        assert_eq!(quantile(&w, 1.0), 1.0);
     }
 }

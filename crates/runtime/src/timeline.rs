@@ -10,15 +10,14 @@
 //! | phase          | interval                                  | what it measures |
 //! |----------------|-------------------------------------------|------------------|
 //! | `admit`        | submitted → admitted                      | backpressure backoff + admission bookkeeping |
-//! | `queue`        | admitted → dequeued                       | residency in the admission queue |
-//! | `coalesce`     | dequeued → dispatched                     | batch-window wait + fusion (≈0 when batching is off) |
-//! | `dispatch`     | dispatched → first shard start            | shard-queue residency |
+//! | `queue`        | admitted → dequeued                       | residency in the admission queue, until a worker pops it for dispatch |
+//! | `dispatch`     | dequeued → first shard start              | shard split + shard-queue residency |
 //! | `execute`      | first shard start → last shard end        | backend execution (all shards) |
-//! | `merge`        | last shard end → merged                   | report merge + demux |
+//! | `merge`        | last shard end → merged                   | report merge |
 //! | `deliver`      | merged → completed                        | caching, waking waiters, completion delivery |
 //! | `cache_lookup` | submitted → completed (cache hits only)   | the whole fast path |
 //!
-//! A job that dies early (cancelled in queue, expired mid-batch) simply
+//! A job that dies early (cancelled in queue, expired mid-run) simply
 //! lacks the later milestones; the walk attributes the remaining time to
 //! the first absent milestone's predecessor-to-terminal gap, keeping the
 //! telescoping identity intact on every path.
@@ -29,7 +28,6 @@
 //! sum exactly to the execute window, so the telescoping identity is
 //! untouched.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every phase name the timeline can emit, in lifecycle order — the
@@ -38,7 +36,6 @@ pub const PHASES: &[&str] = &[
     "cache_lookup",
     "admit",
     "queue",
-    "coalesce",
     "dispatch",
     "execute",
     "merge",
@@ -94,7 +91,7 @@ pub struct ShardSpan {
 }
 
 /// The lifecycle record of one logical job. Cheap to clone (the only
-/// heap parts are the shard-span vector and a shared batch key), so
+/// heap parts are the shard-span and stage-mark vectors), so
 /// completed timelines can be snapshotted into the flight recorder and
 /// handed to profiling code without touching the job again.
 #[derive(Debug, Clone)]
@@ -109,11 +106,8 @@ pub struct JobTimeline {
     pub submitted: Instant,
     /// Admitted into the bounded queue.
     pub admitted: Option<Instant>,
-    /// Popped from the admission queue by a worker (or drained into a
-    /// forming batch).
+    /// Popped from the admission queue by a worker for dispatch.
     pub dequeued: Option<Instant>,
-    /// Exploded into shard tasks (after any batch window + fusion).
-    pub dispatched: Option<Instant>,
     /// Merged report ready (kernel) / task closure returned.
     pub merged: Option<Instant>,
     /// Terminal state reached.
@@ -122,19 +116,10 @@ pub struct JobTimeline {
     pub shard_spans: Vec<ShardSpan>,
     /// Shards the dispatch split into (0 until dispatched).
     pub shards: u32,
-    /// Logical jobs sharing this job's fused dispatch (1 = unbatched).
-    pub batch_occupancy: u32,
     /// Served from the result cache without touching a worker.
     pub cache_hit: bool,
     /// Terminal outcome.
     pub outcome: JobOutcome,
-    /// The job's fusion-compatibility key, when it was eligible for the
-    /// coalescing stage (diagnostics: why did batches not form?).
-    pub batch_key: Option<Arc<str>>,
-    /// The quota-erased padding key, when the kernel is quota-exact:
-    /// jobs sharing this (but not `batch_key`) fuse only as a padded
-    /// cross-quota batch.
-    pub pad_key: Option<Arc<str>>,
     /// Backpressure backoff included in the `admit` phase.
     pub backoff: Duration,
     /// Per-stage elapsed times of a multi-stage graph job (element-wise
@@ -153,16 +138,12 @@ impl JobTimeline {
             submitted: Instant::now(),
             admitted: None,
             dequeued: None,
-            dispatched: None,
             merged: None,
             completed: None,
             shard_spans: Vec::new(),
             shards: 0,
-            batch_occupancy: 1,
             cache_hit: false,
             outcome: JobOutcome::Pending,
-            batch_key: None,
-            pad_key: None,
             backoff: Duration::ZERO,
             stage_marks: Vec::new(),
         }
@@ -177,12 +158,6 @@ impl JobTimeline {
     /// Mark removal from the admission queue (idempotent).
     pub fn mark_dequeued(&mut self) {
         self.dequeued.get_or_insert_with(Instant::now);
-    }
-
-    /// Mark shard explosion: the dispatch decision is made.
-    pub fn mark_dispatched(&mut self, shards: u32) {
-        self.dispatched.get_or_insert_with(Instant::now);
-        self.shards = shards;
     }
 
     /// Record one shard's execution window.
@@ -232,21 +207,6 @@ impl JobTimeline {
         self.clone()
     }
 
-    /// Adopt the execution-side milestones of the synthetic batch job
-    /// this member rode: dispatch decision, shard windows, merge point,
-    /// and occupancy. The member keeps its own admission-side marks
-    /// (`submitted`/`admitted`/`dequeued`), so its `coalesce` phase
-    /// covers the batch window it waited out.
-    pub fn adopt_batch(&mut self, batch: &JobTimeline) {
-        self.dispatched = self.dispatched.or(batch.dispatched);
-        self.merged = self.merged.or(batch.merged);
-        if self.shard_spans.is_empty() {
-            self.shard_spans = batch.shard_spans.clone();
-        }
-        self.shards = batch.shards;
-        self.batch_occupancy = batch.batch_occupancy;
-    }
-
     /// End-to-end latency (`submitted → completed`), when terminal.
     pub fn e2e(&self) -> Option<Duration> {
         self.completed
@@ -269,10 +229,9 @@ impl JobTimeline {
                 completed.saturating_duration_since(self.submitted),
             )];
         }
-        let milestones: [(&'static str, Option<Instant>); 7] = [
+        let milestones: [(&'static str, Option<Instant>); 6] = [
             ("admit", self.admitted),
             ("queue", self.dequeued),
-            ("coalesce", self.dispatched),
             ("dispatch", self.first_shard_start()),
             ("execute", self.last_shard_end()),
             ("merge", self.merged),
@@ -354,8 +313,7 @@ mod tests {
         let mut tl = JobTimeline::new(1, 0, "normal");
         let t0 = tl.submitted;
         tl.admitted = Some(at(t0, 1));
-        tl.dequeued = Some(at(t0, 3));
-        tl.dispatched = Some(at(t0, 4));
+        tl.dequeued = Some(at(t0, 4));
         tl.record_shard_span(0, 0, at(t0, 5), at(t0, 9));
         tl.record_shard_span(1, 1, at(t0, 5), at(t0, 11));
         tl.merged = Some(at(t0, 12));
@@ -365,7 +323,7 @@ mod tests {
         let names: Vec<_> = phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            ["admit", "queue", "coalesce", "dispatch", "execute", "merge", "deliver"]
+            ["admit", "queue", "dispatch", "execute", "merge", "deliver"]
         );
         let sum: Duration = phases.iter().map(|(_, d)| *d).sum();
         assert_eq!(sum, tl.e2e().unwrap());
@@ -408,42 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn adopt_batch_keeps_admission_side() {
-        let mut member = JobTimeline::new(4, 0, "normal");
-        let t0 = member.submitted;
-        member.admitted = Some(at(t0, 1));
-        member.dequeued = Some(at(t0, 2));
-        let mut synthetic = JobTimeline::new(99, 0, "normal");
-        synthetic.dispatched = Some(at(t0, 5));
-        synthetic.record_shard_span(0, 0, at(t0, 6), at(t0, 8));
-        synthetic.merged = Some(at(t0, 9));
-        synthetic.shards = 1;
-        synthetic.batch_occupancy = 3;
-        member.adopt_batch(&synthetic);
-        member.completed = Some(at(t0, 10));
-        member.outcome = JobOutcome::Completed;
-        assert_eq!(member.batch_occupancy, 3);
-        assert_eq!(member.dequeued, Some(at(t0, 2)));
-        let phases = member.phases();
-        // coalesce = dequeued → batch dispatch: the window the member
-        // waited for the batch to form.
-        let coalesce = phases.iter().find(|(n, _)| *n == "coalesce").unwrap().1;
-        assert_eq!(coalesce, Duration::from_millis(3));
-        let sum: Duration = phases.iter().map(|(_, d)| *d).sum();
-        assert_eq!(sum, tl_e2e(&member));
-    }
-
-    fn tl_e2e(tl: &JobTimeline) -> Duration {
-        tl.e2e().unwrap()
-    }
-
-    #[test]
     fn stage_marks_split_execute_exactly() {
         let mut tl = JobTimeline::new(7, 0, "normal");
         let t0 = tl.submitted;
         tl.admitted = Some(at(t0, 1));
-        tl.dequeued = Some(at(t0, 2));
-        tl.dispatched = Some(at(t0, 3));
+        tl.dequeued = Some(at(t0, 3));
         tl.record_shard_span(0, 0, at(t0, 4), at(t0, 16));
         // Concurrent stages: marks sum past the 12 ms window on purpose.
         tl.record_stage_marks(&[
@@ -458,10 +385,7 @@ mod tests {
         let names: Vec<_> = phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            [
-                "admit", "queue", "coalesce", "dispatch", "stage0", "stage1", "stage2", "merge",
-                "deliver"
-            ]
+            ["admit", "queue", "dispatch", "stage0", "stage1", "stage2", "merge", "deliver"]
         );
         // The stage sub-spans sum exactly to the execute window...
         let stage_sum: Duration = phases
@@ -483,8 +407,7 @@ mod tests {
         let mut tl = JobTimeline::new(8, 0, "normal");
         let t0 = tl.submitted;
         tl.admitted = Some(at(t0, 1));
-        tl.dequeued = Some(at(t0, 2));
-        tl.dispatched = Some(at(t0, 3));
+        tl.dequeued = Some(at(t0, 3));
         tl.record_shard_span(0, 0, at(t0, 4), at(t0, 8));
         tl.record_stage_marks(&[Duration::from_millis(4)]);
         tl.merged = Some(at(t0, 9));

@@ -3,26 +3,22 @@
 //! the paper's host keeping every compute unit fed through an out-of-order
 //! command queue (Section IV-F).
 //!
-//! Dispatch is where the throughput machinery lives: a worker that pops a
-//! coalescable job first fuses every compatible queued job into one
-//! [`FusedBatch`] dispatch (optionally holding a batch window open for
-//! more to arrive), then sizes the split with the adaptive shard
-//! controller before exploding. The execute hot path allocates nothing:
-//! worker labels are rendered once, span labels only materialize when a
-//! trace sink is actually attached.
+//! Dispatch is one path per job: pop, resolve the shard count, explode,
+//! and merge once the last shard lands. The execute hot path allocates
+//! nothing: worker labels are rendered once, span labels only
+//! materialize when a trace sink is actually attached.
 
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
-use dwi_core::backend::{Backend, FusedBatch, FusedJob, SharedWorkItemKernel};
-use dwi_core::graph::{GraphPlan, GraphReport, KernelGraph};
-use dwi_core::ExecutionPlan;
+use dwi_core::backend::Backend;
+use dwi_core::graph::GraphReport;
 use dwi_trace::ProcessKind;
 
-use crate::job::{BatchDemux, BatchMember, CacheKey, CachedOutput, JobError, JobState, Status};
-use crate::queue::{BatchShape, JobWork, PadBudget, QueuedJob};
+use crate::job::{CachedOutput, JobError, Status};
+use crate::queue::QueuedJob;
 use crate::shard::{ShardTask, ShardWork};
-use crate::timeline::{JobOutcome, JobTimeline};
+use crate::timeline::JobOutcome;
 use crate::{Core, SchedState};
 
 pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend + Send>) {
@@ -71,7 +67,6 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
         let t_start = Instant::now();
         match shard.work {
             ShardWork::Graph { graph, plan } => {
-                let groups = plan.groups() as u64;
                 let report = backend.run(graph.as_ref(), &plan);
                 if track.is_enabled() {
                     track.span_since(format!("job{} shard{}", shard.state.id, shard.index), t0);
@@ -79,7 +74,7 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
                 let t_end = Instant::now();
                 let dt = (t_end - t_start).as_secs_f64();
                 busy_s += dt;
-                core.record_shard(&worker_label, dt, groups);
+                core.record_shard(&worker_label, dt);
                 core.metrics.worker_utilization(
                     &worker_label,
                     busy_s / started.elapsed().as_secs_f64().max(1e-9),
@@ -100,7 +95,7 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
                 let t_end = Instant::now();
                 let dt = (t_end - t_start).as_secs_f64();
                 busy_s += dt;
-                core.record_shard(&worker_label, dt, 0);
+                core.record_shard(&worker_label, dt);
                 core.metrics.worker_utilization(
                     &worker_label,
                     busy_s / started.elapsed().as_secs_f64().max(1e-9),
@@ -133,67 +128,15 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
 }
 
 impl Core {
-    /// Turn one popped job into shard-queue entries: coalesce compatible
-    /// queued jobs into a fused batch when batching is on, size the split
-    /// (explicit override → adaptive controller → static default), and
-    /// explode. Called with the scheduler lock held; returns it.
+    /// Turn one popped job into shard-queue entries: resolve the shard
+    /// count (explicit override, else the static default) and explode.
+    /// Called with the scheduler lock held; returns it.
     pub(crate) fn dispatch<'a>(
         &self,
         mut st: MutexGuard<'a, SchedState>,
-        mut job: QueuedJob,
+        job: QueuedJob,
     ) -> MutexGuard<'a, SchedState> {
-        let job = if let Some(shape) = job.batch.take() {
-            st = self.await_batch_window(st, &shape);
-            // The leader seeds the waste budget; every drained mate —
-            // exact-shape or quota-relaxed — is admitted through it, so
-            // the *drained* set respects `max_pad_ratio` by
-            // construction (the set that actually fuses may shrink and
-            // is re-proved inside `fuse`).
-            let mut budget = PadBudget::new(self.max_pad_ratio);
-            budget.seed(shape.workitems, shape.quota);
-            let mut members = vec![job];
-            let now = Instant::now();
-            for mate in st
-                .queue
-                .drain_compatible(&shape, self.batch_max - 1, &mut budget)
-            {
-                // A mate cancelled while queued fails here instead of
-                // poisoning the batch.
-                if let Some(err) = mate.state.abort_error(now) {
-                    self.finalize_failed(&mate.state, err);
-                } else {
-                    members.push(mate);
-                }
-            }
-            let job = if members.len() == 1 {
-                members.pop().expect("just checked length")
-            } else {
-                // Aborted mates (above) and in-batch dedup (inside
-                // `fuse`) can shrink the admitted set below the cap the
-                // budget proved; fusion re-proves it and hands back any
-                // mates it had to evict for requeueing.
-                let (job, evicted) = self.fuse(members);
-                if !evicted.is_empty() {
-                    for mate in evicted {
-                        st.queue.push(mate);
-                    }
-                    // Evicted mates are dispatchable work again.
-                    self.work_cv.notify_all();
-                }
-                job
-            };
-            for lane in [
-                crate::job::Priority::High,
-                crate::job::Priority::Normal,
-                crate::job::Priority::Low,
-            ] {
-                self.metrics.queue_depth(lane, st.queue.lane_depth(lane));
-            }
-            job
-        } else {
-            job
-        };
-        let shards = self.resolve_shards(&st, &job);
+        let shards = job.shards.unwrap_or(self.default_shards);
         self.metrics.shards_per_job(shards);
         let tasks = crate::shard::explode(job, shards);
         let fanout = tasks.len();
@@ -205,227 +148,9 @@ impl Core {
         st
     }
 
-    /// Hold the scheduler lock on the condvar until either enough
-    /// compatible jobs are queued to fill the batch, the window elapses,
-    /// or shutdown begins. No-op with a zero window.
-    fn await_batch_window<'a>(
-        &self,
-        mut st: MutexGuard<'a, SchedState>,
-        shape: &BatchShape,
-    ) -> MutexGuard<'a, SchedState> {
-        if self.batch_window.is_zero() {
-            return st;
-        }
-        let deadline = Instant::now() + self.batch_window;
-        while st.queue.compatible(shape, self.max_pad_ratio) + 1 < self.batch_max && !st.shutdown {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = self
-                .work_cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
-        st
-    }
-
-    /// Fuse ≥ 2 compatible jobs into one synthetic kernel job carrying
-    /// the demux bookkeeping. Members are single-node graphs by
-    /// construction (only those get a batch key), so fusion peels the
-    /// source kernel back out. Members with identical cache keys are
-    /// deduplicated: the repeat executes zero extra work-items and is
-    /// delivered the same `Arc<RunReport>` (caching disabled means no
-    /// key, so no dedup — every member runs).
-    ///
-    /// The drain's budget proved the waste cap over the *drained* set,
-    /// but the fused set can be smaller — aborted mates are filtered
-    /// out by the caller and duplicates collapse into one segment — and
-    /// removing a member shrinks total slots faster than padded slots,
-    /// so the survivors may exceed the cap the budget proved. The cap
-    /// is therefore re-proved here over the surviving segments, evicting
-    /// the lowest-quota mates (the largest per-slot padding
-    /// contributors) until it holds again; evicted mates are returned
-    /// untouched for the caller to requeue (the leader always stays —
-    /// it was popped for dispatch). This keeps the `fuse_padded`
-    /// backstop assert a true invariant.
-    fn fuse(&self, members: Vec<QueuedJob>) -> (QueuedJob, Vec<QueuedJob>) {
-        struct Entry {
-            member: QueuedJob,
-            dupes: Vec<QueuedJob>,
-            kernel: SharedWorkItemKernel,
-            plan: ExecutionPlan,
-            key: Option<CacheKey>,
-        }
-        // Group by cache key first, *without* touching member state, so
-        // an evicted mate goes back to the queue exactly as drained.
-        let mut entries: Vec<Entry> = Vec::with_capacity(members.len());
-        for m in members {
-            let (kernel, plan) = match &m.work {
-                JobWork::Graph { graph, plan } => (graph.source().clone(), plan.base.clone()),
-                JobWork::Task(_) => unreachable!("tasks never carry a batch key"),
-            };
-            let key = m.state.lock().cache_key.clone();
-            if let Some(k) = &key {
-                if let Some(e) = entries.iter_mut().find(|e| e.key.as_ref() == Some(k)) {
-                    e.dupes.push(m);
-                    continue;
-                }
-            }
-            entries.push(Entry {
-                member: m,
-                dupes: Vec::new(),
-                kernel,
-                plan,
-                key,
-            });
-        }
-        // Re-prove the waste cap over the surviving unique segments —
-        // dupes occupy no slots, so this mirrors `FusedBatch::pad_ratio`
-        // exactly. A single survivor pads nothing, so the loop always
-        // terminates under the cap.
-        let mut evicted: Vec<QueuedJob> = Vec::new();
-        loop {
-            let q_max = entries
-                .iter()
-                .map(|e| e.kernel.outputs_per_workitem())
-                .max()
-                .unwrap_or(0);
-            let (padded, total) = entries.iter().fold((0u64, 0u64), |(p, t), e| {
-                let wi = e.plan.workitems as u64;
-                (
-                    p + wi * (q_max - e.kernel.outputs_per_workitem()),
-                    t + wi * q_max,
-                )
-            });
-            if total == 0 || padded as f64 / total as f64 <= self.max_pad_ratio {
-                break;
-            }
-            let pos = entries
-                .iter()
-                .enumerate()
-                .skip(1)
-                .min_by_key(|(_, e)| e.kernel.outputs_per_workitem())
-                .map(|(i, _)| i)
-                .expect("an over-cap set holds at least two segments");
-            let e = entries.remove(pos);
-            evicted.push(e.member);
-            evicted.extend(e.dupes);
-        }
-        // A batch shrunk to its leader alone dispatches unfused.
-        if entries.len() == 1 && entries[0].dupes.is_empty() {
-            let e = entries.pop().expect("just checked length");
-            return (e.member, evicted);
-        }
-        // Commit the kept members to the batch.
-        let mut jobs: Vec<FusedJob> = Vec::with_capacity(entries.len());
-        let mut batch_members: Vec<BatchMember> = Vec::with_capacity(entries.len());
-        for e in entries {
-            for state in std::iter::once(&e.member.state).chain(e.dupes.iter().map(|d| &d.state)) {
-                let mut inner = state.lock();
-                inner.status = Status::Running;
-                // Drained mates skip the worker-loop pop path, so their
-                // queue residency ends here, at the batch's formation.
-                inner.timeline.mark_dequeued();
-            }
-            jobs.push(FusedJob {
-                kernel: e.kernel,
-                plan: e.plan,
-            });
-            batch_members.push(BatchMember {
-                state: e.member.state,
-                dupes: e.dupes.into_iter().map(|d| d.state).collect(),
-            });
-        }
-        let occupancy = batch_members.iter().map(|m| 1 + m.dupes.len()).sum();
-        self.metrics.batch_dispatched(occupancy);
-        // Exact-shape members fuse for free; a quota spread takes the
-        // padded path (the eviction pass above re-proved the waste cap
-        // over exactly these segments).
-        let strict = jobs.windows(2).all(|w| {
-            FusedJob::batch_key(w[0].kernel.as_ref(), &w[0].plan)
-                == FusedJob::batch_key(w[1].kernel.as_ref(), &w[1].plan)
-        });
-        let batch = if strict {
-            FusedBatch::fuse(jobs)
-        } else {
-            FusedBatch::fuse_padded(jobs, self.max_pad_ratio)
-        };
-        // Padding accounting on every batch (zero for strict fusion), so
-        // the pad families are never silent once batching is active.
-        self.metrics
-            .batch_padding(batch.padded_slots(), batch.pad_ratio());
-        let kernel = batch.kernel();
-        let plan = batch.plan().clone();
-        let leader = &batch_members[0].state;
-        let state = Arc::new(JobState::new(
-            self.next_id
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            leader.client,
-            leader.priority,
-            None,
-        ));
-        {
-            let mut inner = state.lock();
-            inner.batch = Some(BatchDemux {
-                fused: batch,
-                members: batch_members,
-            });
-            // The synthetic timeline is the execution-side record every
-            // member adopts at demux; stamp the batch's occupancy on it.
-            inner.timeline.batch_occupancy = occupancy as u32;
-            inner.timeline.mark_dequeued();
-        }
-        let fused = QueuedJob {
-            state,
-            work: JobWork::Graph {
-                graph: Arc::new(KernelGraph::single(kernel)),
-                plan: GraphPlan::new(plan),
-            },
-            shards: None,
-            batch: None,
-            // Remote-eligible jobs never coalesce (see submit_inner), so
-            // a fused dispatch is always local.
-            remote: None,
-        };
-        (fused, evicted)
-    }
-
-    /// Shard count for one dispatch: explicit override → adaptive
-    /// controller (when configured) → static default.
-    fn resolve_shards(&self, st: &SchedState, job: &QueuedJob) -> u32 {
-        if let Some(n) = job.shards {
-            return n;
-        }
-        match (&self.adaptive, &job.work) {
-            (Some(cfg), JobWork::Graph { plan, .. }) => {
-                let backlog = st.queue.len() + st.shards.len();
-                // Attached remote pools are extra workers: a wider split
-                // lets a lone big job spill onto them.
-                let pool = self.workers
-                    + self
-                        .remote_workers
-                        .load(std::sync::atomic::Ordering::Relaxed);
-                crate::shard::pick_shards(
-                    cfg,
-                    plan.groups(),
-                    pool,
-                    backlog,
-                    st.ema_group_secs,
-                    st.p99_group_secs(),
-                )
-            }
-            _ => self.default_shards,
-        }
-    }
-
-    /// Record one executed shard: latency summary, the two service-time
-    /// EMAs (backpressure retry hint; adaptive cold-start prior), and the
-    /// sliding per-group window whose p99 closes the adaptive controller
-    /// on the tail (`groups` is 0 for task shards, which carry no NDRange
-    /// size and feed neither the window nor the group EMA).
-    pub(crate) fn record_shard(&self, worker: &str, dt_s: f64, groups: u64) {
+    /// Record one executed shard: latency summary and the service-time
+    /// EMA behind the backpressure retry hint.
+    pub(crate) fn record_shard(&self, worker: &str, dt_s: f64) {
         self.metrics.shard_executed(worker, dt_s);
         let mut st = self.lock_state();
         st.ema_shard_secs = if st.ema_shard_secs > 0.0 {
@@ -433,27 +158,6 @@ impl Core {
         } else {
             dt_s
         };
-        if groups > 0 {
-            let per_group = dt_s / groups as f64;
-            st.ema_group_secs = if st.ema_group_secs > 0.0 {
-                0.8 * st.ema_group_secs + 0.2 * per_group
-            } else {
-                per_group
-            };
-            if st.recent_group_secs.len() >= crate::SHARD_WINDOW {
-                st.recent_group_secs.pop_front();
-            }
-            st.recent_group_secs.push_back(per_group);
-            // Publish the controller's live feed: the windowed p99 once
-            // the window holds enough samples, the EMA prior until then
-            // — labeled apart so the prior never masquerades as a p99.
-            let p99 = st.p99_group_secs();
-            if p99 > 0.0 {
-                self.metrics.shard_p99(p99, true);
-            } else {
-                self.metrics.shard_p99(st.ema_group_secs, false);
-            }
-        }
     }
 
     /// Terminal failure for a whole job (never exploded, or a task).
@@ -482,8 +186,7 @@ impl Core {
     }
 
     /// Account one finished (or skipped) graph shard; the last one
-    /// finalizes the job — merging bit-identically when all shards ran
-    /// (then demultiplexing per batch member for a fused dispatch),
+    /// finalizes the job — merging bit-identically when all shards ran,
     /// failing when any was skipped. `span` is the executed shard's
     /// `(worker, start, end)` for the timeline (`None` when skipped).
     pub(crate) fn finish_kernel_shard(
@@ -513,19 +216,8 @@ impl Core {
         // Last shard: finalize. Expiry during the final shard still wins
         // over delivery, matching the queued-job and task paths.
         if let Some(e) = inner.aborted.or_else(|| state.abort_error(Instant::now())) {
-            let batch = inner.batch.take();
             drop(inner);
-            if let Some(b) = batch {
-                for m in b.members {
-                    self.finalize_failed(&m.state, e);
-                    for d in m.dupes {
-                        self.finalize_failed(&d, e);
-                    }
-                }
-                state.finish(Status::Failed(e));
-            } else {
-                self.finalize_failed(state, e);
-            }
+            self.finalize_failed(state, e);
             return;
         }
         let plan = inner.plan.take().expect("graph job lost its plan");
@@ -542,133 +234,59 @@ impl Core {
             inner.timeline.record_stage_marks(&merged.stage_elapsed);
         }
         inner.timeline.mark_merged();
-        match inner.batch.take() {
-            None => {
-                // Per-stage stall and edge-occupancy observations for the
-                // pipeline metric families, emitted after the locks drop.
-                let graph_obs = (!merged.is_single()).then(|| {
-                    let stalls: Vec<(&'static str, f64)> = merged
-                        .dataflow
-                        .as_ref()
-                        .map(|d| {
-                            graph
-                                .node_names()
-                                .into_iter()
-                                .zip(d.stage_stalls.iter())
-                                .map(|(n, &s)| (n, s as f64 / plan.base.freq_hz))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    let high_water: Vec<f64> =
-                        merged.edges.iter().map(|e| e.high_water as f64).collect();
-                    (stalls, high_water)
-                });
-                let (output, cached) = if merged.is_single() {
-                    let report = Arc::new(merged.into_single());
-                    (
-                        crate::job::JobOutput::Kernel(report.clone()),
-                        CachedOutput::Single(report),
-                    )
-                } else {
-                    let report = Arc::new(merged);
-                    (
-                        crate::job::JobOutput::Graph(report.clone()),
-                        CachedOutput::Graph(report),
-                    )
-                };
-                let latency = inner.admitted.elapsed().as_secs_f64();
-                // Cache before waking waiters, so a waiter's immediate
-                // resubmit hits. Lock order is always job-inner → cache,
-                // never reversed. Evictions spill to disk only after the
-                // job-inner lock drops — file I/O never runs under a
-                // job's critical section.
-                let key = inner.cache_key.take();
-                let spill = match key.clone() {
-                    Some(k) => self.lock_cache().put(k, cached.clone()),
-                    None => Vec::new(),
-                };
-                // Followers leave in the same critical section that makes
-                // the leader terminal, so no new follower can attach to a
-                // finished job (the attach path re-checks the status under
-                // this lock).
-                let followers = std::mem::take(&mut inner.followers);
-                let tl = inner.timeline.finish(JobOutcome::Completed);
-                // Export while the completion is not yet observable, so
-                // a waiter that sees Done can immediately flight-dump
-                // this job (sink locks nest inside the inner lock).
-                self.export_timeline(tl);
-                inner.status = Status::Done(Some(output));
-                drop(inner);
-                self.spill(spill);
-                state.cv.notify_all();
-                state.fire_completion();
-                self.metrics.job_completed(latency);
-                if let Some(k) = &key {
-                    self.unregister_inflight(k, state);
-                }
-                self.deliver_followers(followers, &cached);
-                if let Some((stalls, high_water)) = graph_obs {
-                    self.metrics.graph_job_completed();
-                    for (stage, secs) in stalls {
-                        self.metrics.graph_stage_stall(stage, secs);
-                    }
-                    for hw in high_water {
-                        self.metrics.graph_edge_high_water(hw);
-                    }
-                }
-            }
-            Some(b) => {
-                // Snapshot the synthetic job's execution-side record for
-                // the members to adopt; it is never exported itself.
-                let batch_tl = inner.timeline.clone();
-                drop(inner);
-                let now = Instant::now();
-                // Fused batches only ever carry single-node graphs.
-                let reports = b.fused.demux(merged.into_single());
-                debug_assert_eq!(reports.len(), b.members.len());
-                for (m, r) in b.members.into_iter().zip(reports) {
-                    let report = Arc::new(r);
-                    self.deliver_member(&m.state, report.clone(), &batch_tl, now);
-                    for d in m.dupes {
-                        self.deliver_member(&d, report.clone(), &batch_tl, now);
-                    }
-                }
-                // The synthetic job has no waiters; close it out so a
-                // late observer never sees it pending.
-                state.finish(Status::Done(None));
-            }
-        }
-    }
-
-    /// Deliver one batch member's demuxed report: abort-checked (a member
-    /// cancelled mid-batch still fails), cached under the member's own
-    /// key, completion metrics per logical job. The member's timeline
-    /// adopts `batch_tl`'s execution-side marks before closing.
-    fn deliver_member(
-        &self,
-        state: &Arc<crate::job::JobState>,
-        report: Arc<dwi_core::backend::RunReport>,
-        batch_tl: &JobTimeline,
-        now: Instant,
-    ) {
-        if let Some(e) = state.abort_error(now) {
-            self.finalize_failed(state, e);
-            return;
-        }
-        let mut inner = state.lock();
+        // Per-stage stall and edge-occupancy observations for the
+        // pipeline metric families, emitted after the locks drop.
+        let graph_obs = (!merged.is_single()).then(|| {
+            let stalls: Vec<(&'static str, f64)> = merged
+                .dataflow
+                .as_ref()
+                .map(|d| {
+                    graph
+                        .node_names()
+                        .into_iter()
+                        .zip(d.stage_stalls.iter())
+                        .map(|(n, &s)| (n, s as f64 / plan.base.freq_hz))
+                        .collect()
+                })
+                .unwrap_or_default();
+            let high_water: Vec<f64> = merged.edges.iter().map(|e| e.high_water as f64).collect();
+            (stalls, high_water)
+        });
+        let (output, cached) = if merged.is_single() {
+            let report = Arc::new(merged.into_single());
+            (
+                crate::job::JobOutput::Kernel(report.clone()),
+                CachedOutput::Single(report),
+            )
+        } else {
+            let report = Arc::new(merged);
+            (
+                crate::job::JobOutput::Graph(report.clone()),
+                CachedOutput::Graph(report),
+            )
+        };
         let latency = inner.admitted.elapsed().as_secs_f64();
+        // Cache before waking waiters, so a waiter's immediate
+        // resubmit hits. Lock order is always job-inner → cache,
+        // never reversed. Evictions spill to disk only after the
+        // job-inner lock drops — file I/O never runs under a
+        // job's critical section.
         let key = inner.cache_key.take();
         let spill = match key.clone() {
-            Some(k) => self
-                .lock_cache()
-                .put(k, CachedOutput::Single(report.clone())),
+            Some(k) => self.lock_cache().put(k, cached.clone()),
             None => Vec::new(),
         };
+        // Followers leave in the same critical section that makes
+        // the leader terminal, so no new follower can attach to a
+        // finished job (the attach path re-checks the status under
+        // this lock).
         let followers = std::mem::take(&mut inner.followers);
-        inner.timeline.adopt_batch(batch_tl);
         let tl = inner.timeline.finish(JobOutcome::Completed);
+        // Export while the completion is not yet observable, so
+        // a waiter that sees Done can immediately flight-dump
+        // this job (sink locks nest inside the inner lock).
         self.export_timeline(tl);
-        inner.status = Status::Done(Some(crate::job::JobOutput::Kernel(report.clone())));
+        inner.status = Status::Done(Some(output));
         drop(inner);
         self.spill(spill);
         state.cv.notify_all();
@@ -677,6 +295,15 @@ impl Core {
         if let Some(k) = &key {
             self.unregister_inflight(k, state);
         }
-        self.deliver_followers(followers, &CachedOutput::Single(report));
+        self.deliver_followers(followers, &cached);
+        if let Some((stalls, high_water)) = graph_obs {
+            self.metrics.graph_job_completed();
+            for (stage, secs) in stalls {
+                self.metrics.graph_stage_stall(stage, secs);
+            }
+            for hw in high_water {
+                self.metrics.graph_edge_high_water(hw);
+            }
+        }
     }
 }

@@ -3,9 +3,8 @@
 //! monolithic direct execution, share one result-cache namespace with the
 //! kernel path (a single-node graph *is* a kernel job), split their
 //! timeline's execute phase into stage sub-spans that still telescope
-//! exactly to end-to-end, and never ride the coalescing stage.
+//! exactly to end-to-end.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,52 +122,4 @@ fn stage_sub_spans_telescope_exactly_to_e2e() {
     );
     let sum: Duration = phases.iter().map(|(_, d)| *d).sum();
     assert_eq!(sum, tl.e2e().expect("terminal"), "telescoping broke");
-}
-
-#[test]
-fn multi_stage_graphs_never_coalesce() {
-    // Batching on, two compatible-looking graph jobs parked behind a
-    // blocked worker: they must dispatch alone (occupancy 1, no batch
-    // key), while the same setup fuses plain kernel jobs.
-    let rt = Runtime::new(
-        RuntimeConfig::new(1)
-            .cache_capacity(0)
-            .batching(4, Duration::ZERO),
-    );
-    let (release_tx, release_rx) = mpsc::channel();
-    let (started_tx, started_rx) = mpsc::channel();
-    let gate = rt
-        .submit(JobSpec::task(99, move || {
-            started_tx.send(()).ok();
-            release_rx.recv().ok();
-        }))
-        .expect("admitted");
-    started_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("worker picked up the blocker");
-    let jobs: Vec<_> = (0..2)
-        .map(|_| {
-            rt.submit(JobSpec::graph(
-                0,
-                credit_graph(32, 5),
-                GraphPlan::new(ExecutionPlan::new(2)),
-                5,
-            ))
-            .expect("admitted")
-        })
-        .collect();
-    release_tx.send(()).unwrap();
-    gate.wait().expect("blocker completes");
-    for j in jobs {
-        let tl = j.timeline();
-        assert!(tl.batch_key.is_none(), "multi-stage jobs are uncoalescable");
-        j.wait().expect("graph job completes");
-    }
-    let occupancies: Vec<u32> = rt
-        .flight_dump()
-        .iter()
-        .filter(|t| t.phases().iter().any(|(n, _)| n.starts_with("stage")))
-        .map(|t| t.batch_occupancy)
-        .collect();
-    assert_eq!(occupancies, [1, 1], "graph dispatches went out alone");
 }

@@ -1,6 +1,6 @@
 //! Metric-accounting contract of the runtime: one mixed run — completions,
 //! rejections, would-block refusals, blocking backoff, cancellations,
-//! deadline expiries, cache hits, fused batches, a multi-stage graph job,
+//! deadline expiries, cache hits, a multi-stage graph job,
 //! durable-tier spills/promotions/rejections, and a session round trip —
 //! leaves (a) the conservation identity
 //! `submitted = completed + rejected + cancelled + expired` holding
@@ -96,7 +96,6 @@ fn mixed_run_conserves_jobs_and_touches_every_family() {
     let rt = Runtime::new(
         RuntimeConfig::new(1)
             .queue_bound(3)
-            .batching(4, Duration::ZERO)
             .cache_capacity(1)
             .disk_cache(disk_dir.clone())
             .trace(rec.sink()),
@@ -162,29 +161,6 @@ fn mixed_run_conserves_jobs_and_touches_every_family() {
     let first = rt.run_kernel(kernel(64, 42), ExecutionPlan::new(2), 42);
     let second = rt.run_kernel(kernel(64, 42), ExecutionPlan::new(2), 42);
     assert!(Arc::ptr_eq(&first, &second), "second run is the cached Arc");
-
-    // --- A fused batch: two *cross-quota* jobs queued behind the
-    // blocker. Same kernel and plan shape, quotas 64 vs 128, so the
-    // coalescer takes the padded path (pad ratio 1/4, under the default
-    // cap) and the padding families go live with non-zero values. ---
-    let (gate, release) = blocker(&rt);
-    let mates: Vec<_> = [(64u64, 10u32), (128, 11)]
-        .into_iter()
-        .map(|(quota, seed)| {
-            rt.submit(JobSpec::kernel(
-                0,
-                kernel(quota, seed),
-                ExecutionPlan::new(2),
-                seed as u64,
-            ))
-            .expect("admitted")
-        })
-        .collect();
-    release.send(()).unwrap();
-    gate.wait().expect("blocker completes");
-    for h in mates {
-        h.wait().expect("batched jobs complete");
-    }
 
     // --- A multi-stage graph job (pipeline metric families). ---
     let graph = Arc::new(
@@ -339,8 +315,6 @@ fn mixed_run_conserves_jobs_and_touches_every_family() {
         total(fam::CACHE_DISK_MISSES) >= 1,
         "cold lookups consulted the directory"
     );
-    // The cross-quota batch: 2 work-items padded from quota 64 up to 128.
-    assert_eq!(total(fam::PADDED_SLOTS), 2 * (128 - 64));
     assert_eq!(total(fam::INFLIGHT_DEDUP), 1, "one follower attached");
     assert_eq!(total(fam::REMOTE_DISCONNECTS), 1);
     assert_eq!(total(fam::REMOTE_REQUEUED), 1);

@@ -1,6 +1,6 @@
 //! The telescoping contract of [`JobTimeline`], end to end through the
-//! live scheduler: on every backend, and on the cache-hit and batch-demux
-//! fast paths, each closed timeline's phase durations sum to its
+//! live scheduler: on every backend, and on the cache-hit fast path,
+//! each closed timeline's phase durations sum to its
 //! end-to-end latency (well within the 5% consistency bound the profile
 //! report enforces — the walk is exact, so the tolerance only absorbs
 //! float rounding).
@@ -73,60 +73,6 @@ fn phases_sum_to_e2e_on_every_backend() {
             }
         }
         assert_eq!(hits, 1, "{name}: exactly one cache-served timeline");
-    }
-}
-
-#[test]
-fn batch_demux_members_telescope_and_carry_occupancy() {
-    let rt = Runtime::new(
-        RuntimeConfig::new(1)
-            .cache_capacity(0)
-            .batching(4, Duration::ZERO)
-            .flight_capacity(64),
-    );
-    // Park the only worker so compatible jobs pile up and fuse on release.
-    let (release_tx, release_rx) = mpsc::channel();
-    let (started_tx, started_rx) = mpsc::channel();
-    let gate = rt
-        .submit(JobSpec::task(99, move || {
-            started_tx.send(()).ok();
-            release_rx.recv().ok();
-        }))
-        .expect("blocker admitted");
-    started_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("worker started the blocker");
-    let mates: Vec<_> = (0..3u32)
-        .map(|seed| {
-            rt.submit(JobSpec::kernel(
-                0,
-                kernel(64, seed),
-                ExecutionPlan::new(2),
-                seed as u64,
-            ))
-            .expect("admitted")
-        })
-        .collect();
-    release_tx.send(()).unwrap();
-    gate.wait().expect("blocker completes");
-    for h in mates {
-        h.wait().expect("batched jobs complete");
-    }
-    let dump = rt.flight_dump();
-    let batched: Vec<&JobTimeline> = dump.iter().filter(|tl| tl.batch_occupancy >= 2).collect();
-    assert!(
-        !batched.is_empty(),
-        "at least one fused dispatch demuxed to members"
-    );
-    for tl in &dump {
-        assert_telescopes(tl, "batch-demux");
-    }
-    for tl in &batched {
-        assert!(
-            tl.phases().iter().any(|(p, _)| *p == "coalesce"),
-            "batched member attributes its window wait to coalesce"
-        );
-        assert!(tl.batch_key.is_some(), "member kept its fusion key");
     }
 }
 

@@ -116,10 +116,10 @@ fn normal_method(name: &str) -> Result<NormalMethod, String> {
 }
 
 fn mt_params(v: &Json) -> Result<MtParams, String> {
-    match v {
-        Json::Str(s) if s == "mt19937" => Ok(MT19937),
-        Json::Str(s) if s == "mt521" => Ok(MT521),
-        Json::Obj(_) => Ok(MtParams {
+    let mt = match v {
+        Json::Str(s) if s == "mt19937" => MT19937,
+        Json::Str(s) if s == "mt521" => MT521,
+        Json::Obj(_) => MtParams {
             exponent: uint(v, "exponent")? as u32,
             n: uint(v, "n")? as usize,
             m: uint(v, "m")? as usize,
@@ -133,9 +133,38 @@ fn mt_params(v: &Json) -> Result<MtParams, String> {
             c: uint(v, "c")? as u32,
             l: uint(v, "l")? as u32,
             f: uint(v, "f")? as u32,
-        }),
-        _ => Err("field 'mt' must be \"mt19937\", \"mt521\", or a parameter object".into()),
+        },
+        _ => return Err("field 'mt' must be \"mt19937\", \"mt521\", or a parameter object".into()),
+    };
+    mt.validate().map_err(|e| format!("invalid 'mt': {e}"))?;
+    Ok(mt)
+}
+
+/// A per-work-item output quota: a positive integer.
+fn quota(k: &Json) -> Result<u64, String> {
+    match uint(k, "quota")? {
+        0 => Err("quota must be at least 1".into()),
+        q => Ok(q),
     }
+}
+
+/// The `(w, lambda1, lambda2)` of a two-component exponential mixture,
+/// checked against the constructors' preconditions: `w` in (0, 1) and
+/// `lambda1 >= lambda2 > 0`.
+fn mixture(obj: &Json) -> Result<(f32, f32, f32), String> {
+    let w = num(obj, "w")? as f32;
+    let lambda1 = num(obj, "lambda1")? as f32;
+    let lambda2 = num(obj, "lambda2")? as f32;
+    if !(0.0..1.0).contains(&w) || w == 0.0 {
+        return Err("w must be in (0, 1)".into());
+    }
+    if lambda2.is_nan() || lambda2 <= 0.0 {
+        return Err("lambda2 must be positive".into());
+    }
+    if lambda1.is_nan() || lambda1 < lambda2 {
+        return Err("lambda1 must be at least lambda2".into());
+    }
+    Ok((w, lambda1, lambda2))
 }
 
 /// Serialize an [`MtParams`] back to its spec object — the exact inverse
@@ -147,31 +176,51 @@ pub fn mt_params_json(mt: &MtParams) -> String {
     )
 }
 
-/// Build the source kernel a `"kernel"` object describes.
+/// Build the source kernel a `"kernel"` object describes. Every
+/// parameter a constructor would `assert!` on is checked here first, so a
+/// bad spec is rejected at the boundary instead of panicking the handler
+/// or, later, the worker that instantiates it.
 fn build_source(k: &Json) -> Result<dwi_core::SharedWorkItemKernel, String> {
     match str_field(k, "type")? {
-        "truncated-normal" => Ok(Arc::new(TruncatedNormalKernel::new(
-            num(k, "a")? as f32,
-            uint(k, "quota")?,
-            uint(k, "seed")? as u32,
-        ))),
-        "severity-exp-mix" => Ok(Arc::new(SeverityExpMix::new(
-            num(k, "w")? as f32,
-            num(k, "lambda1")? as f32,
-            num(k, "lambda2")? as f32,
-            uint(k, "quota")?,
-            uint(k, "seed")? as u32,
-        ))),
+        "truncated-normal" => {
+            let a = num(k, "a")? as f32;
+            if !a.is_finite() || a < 0.0 {
+                return Err("a must be finite and non-negative".into());
+            }
+            Ok(Arc::new(TruncatedNormalKernel::new(
+                a,
+                quota(k)?,
+                uint(k, "seed")? as u32,
+            )))
+        }
+        "severity-exp-mix" => {
+            let (w, lambda1, lambda2) = mixture(k)?;
+            Ok(Arc::new(SeverityExpMix::new(
+                w,
+                lambda1,
+                lambda2,
+                quota(k)?,
+                uint(k, "seed")? as u32,
+            )))
+        }
         "calibration" => {
             let mt = mt_params(
                 k.get("mt")
                     .ok_or_else(|| "missing field 'mt'".to_string())?,
             )?;
+            let sector_variance = num(k, "sector_variance")? as f32;
+            if !sector_variance.is_finite() || sector_variance <= 0.0 {
+                return Err("sector_variance must be finite and positive".into());
+            }
+            let samples = uint(k, "samples")? as u32;
+            if samples == 0 {
+                return Err("samples must be at least 1".into());
+            }
             Ok(Arc::new(calibration_kernel(
                 normal_method(str_field(k, "normal")?)?,
                 mt,
-                num(k, "sector_variance")? as f32,
-                uint(k, "samples")? as u32,
+                sector_variance,
+                samples,
             )))
         }
         other => Err(format!("unknown kernel type '{other}'")),
@@ -209,12 +258,15 @@ pub fn build_graph(spec: &Json) -> Result<KernelGraph, String> {
                 }
                 graph.then(Arc::new(WindowAggregate::new(w)))
             }
-            "severity-scale" => graph.then(Arc::new(SeverityScale::new(
-                num(stage, "w")? as f32,
-                num(stage, "lambda1")? as f32,
-                num(stage, "lambda2")? as f32,
-                uint(stage, "seed")? as u32,
-            ))),
+            "severity-scale" => {
+                let (w, lambda1, lambda2) = mixture(stage)?;
+                graph.then(Arc::new(SeverityScale::new(
+                    w,
+                    lambda1,
+                    lambda2,
+                    uint(stage, "seed")? as u32,
+                )))
+            }
             other => return Err(format!("unknown stage type '{other}'")),
         };
     }
@@ -474,5 +526,121 @@ mod tests {
         ] {
             assert!(parse_job(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    /// `body` must come back as an `Err` naming `needle`.
+    fn rejected(body: &str, needle: &str) {
+        match parse_job(body) {
+            Err(e) => assert!(e.contains(needle), "{body}: error {e:?} lacks {needle:?}"),
+            Ok(_) => panic!("accepted: {body}"),
+        }
+    }
+
+    fn tn(a: &str, quota: &str) -> String {
+        format!(
+            r#"{{"kernel": {{"type": "truncated-normal", "a": {a}, "quota": {quota},
+                "seed": 1}}, "plan": {{"workitems": 1}}}}"#
+        )
+    }
+
+    fn mix(w: &str, lambda1: &str, lambda2: &str) -> String {
+        format!(
+            r#"{{"kernel": {{"type": "severity-exp-mix", "w": {w}, "lambda1": {lambda1},
+                "lambda2": {lambda2}, "quota": 8, "seed": 1}}, "plan": {{"workitems": 1}}}}"#
+        )
+    }
+
+    #[test]
+    fn negative_truncation_point_is_rejected() {
+        rejected(&tn("-1", "8"), "a must be");
+    }
+
+    #[test]
+    fn non_finite_truncation_point_is_rejected() {
+        // 1e999 overflows f64 to infinity in the parser.
+        rejected(&tn("1e999", "8"), "a must be");
+    }
+
+    #[test]
+    fn zero_quota_is_rejected() {
+        rejected(&tn("1.5", "0"), "quota must be at least 1");
+        let body = mix("0.5", "2", "0.5").replace(r#""quota": 8"#, r#""quota": 0"#);
+        rejected(&body, "quota must be at least 1");
+    }
+
+    #[test]
+    fn mixture_weight_outside_the_open_unit_interval_is_rejected() {
+        for w in ["0", "1", "-0.5", "1.5"] {
+            rejected(&mix(w, "2", "0.5"), "w must be in (0, 1)");
+        }
+    }
+
+    #[test]
+    fn inverted_mixture_rates_are_rejected() {
+        rejected(&mix("0.5", "0.5", "2"), "lambda1 must be at least lambda2");
+    }
+
+    #[test]
+    fn non_positive_tail_rate_is_rejected() {
+        rejected(&mix("0.5", "2", "0"), "lambda2 must be positive");
+        rejected(&mix("0.5", "2", "-1"), "lambda2 must be positive");
+    }
+
+    #[test]
+    fn severity_scale_stage_rates_are_checked_too() {
+        let body = r#"{"kernel": {"type": "severity-exp-mix", "w": 0.5, "lambda1": 2.0,
+            "lambda2": 0.5, "quota": 8, "seed": 1},
+            "stages": [{"type": "severity-scale", "w": 0.5, "lambda1": 0.5,
+                        "lambda2": 2.0, "seed": 1}],
+            "plan": {"workitems": 1}}"#;
+        rejected(body, "lambda1 must be at least lambda2");
+    }
+
+    #[test]
+    fn invalid_mt_parameter_objects_are_rejected() {
+        let with_mt = |mt: MtParams| {
+            format!(
+                r#"{{"kernel": {{"type": "calibration", "normal": "marsaglia-bray",
+                    "mt": {}, "sector_variance": 4.0, "samples": 100}},
+                    "plan": {{"workitems": 1}}}}"#,
+                mt_params_json(&mt)
+            )
+        };
+        // A valid object form parses.
+        assert!(parse_job(&with_mt(MT521)).is_ok());
+        // n = 0 would index an empty state vector inside `AdaptedMt::new`.
+        rejected(&with_mt(MtParams { n: 0, ..MT19937 }), "invalid 'mt'");
+        // m outside 1..n would silently produce garbage streams.
+        rejected(
+            &with_mt(MtParams {
+                n: 1,
+                m: 5,
+                ..MT19937
+            }),
+            "invalid 'mt'",
+        );
+        rejected(&with_mt(MtParams { m: 624, ..MT19937 }), "invalid 'mt'");
+        rejected(&with_mt(MtParams { r: 32, ..MT19937 }), "invalid 'mt'");
+        rejected(
+            &with_mt(MtParams {
+                exponent: 1,
+                ..MT19937
+            }),
+            "invalid 'mt'",
+        );
+    }
+
+    #[test]
+    fn degenerate_calibration_parameters_are_rejected() {
+        let calib = |sv: &str, samples: &str| {
+            format!(
+                r#"{{"kernel": {{"type": "calibration", "normal": "marsaglia-bray",
+                    "mt": "mt19937", "sector_variance": {sv}, "samples": {samples}}},
+                    "plan": {{"workitems": 1}}}}"#
+            )
+        };
+        rejected(&calib("0", "100"), "sector_variance must be");
+        rejected(&calib("-2", "100"), "sector_variance must be");
+        rejected(&calib("4.0", "0"), "samples must be at least 1");
     }
 }

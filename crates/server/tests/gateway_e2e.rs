@@ -178,3 +178,44 @@ fn fig7_points_over_http_are_exact() {
     assert_eq!(u64_field(&result, "channel_busy"), expect.channel_busy);
     gw.stop();
 }
+
+#[test]
+fn bad_specs_get_400_and_never_kill_the_only_worker() {
+    let gw = start_gateway(1);
+    let calibration = |mt: &str| {
+        format!(
+            r#"{{"kernel":{{"type":"calibration","normal":"marsaglia-bray","mt":{mt},"sector_variance":4.0,"samples":64}},"plan":{{"workitems":1}}}}"#
+        )
+    };
+    let tn = |a: &str, quota: &str| {
+        format!(
+            r#"{{"kernel":{{"type":"truncated-normal","a":{a},"quota":{quota},"seed":1}},"plan":{{"workitems":1}}}}"#
+        )
+    };
+    let mix = |w: &str, lambda1: &str, lambda2: &str| {
+        format!(
+            r#"{{"kernel":{{"type":"severity-exp-mix","w":{w},"lambda1":{lambda1},"lambda2":{lambda2},"quota":8,"seed":1}},"plan":{{"workitems":1}}}}"#
+        )
+    };
+    let bad_mt = mt_params_json(&dwi_rng::MtParams {
+        n: 0,
+        ..dwi_rng::MT19937
+    });
+    for spec in [
+        calibration(&bad_mt),
+        tn("-1", "8"),
+        tn("1e999", "8"),
+        tn("1.5", "0"),
+        mix("1.5", "2", "0.5"),
+        mix("0.5", "0.5", "2"),
+        mix("0.5", "2", "0"),
+    ] {
+        let r = client::post_json(gw.addr, "/v1/jobs", None, &spec).expect("post");
+        assert_eq!(r.status, 400, "{spec}: {}", r.text());
+    }
+    // The lone worker survived every rejection: the next valid job
+    // completes instead of long-polling 204 forever.
+    let result = submit_and_wait(&gw, &calibration("\"mt19937\""));
+    assert!(u64_field(&result, "accepted") >= 64);
+    gw.stop();
+}

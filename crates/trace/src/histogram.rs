@@ -1,7 +1,7 @@
 //! Fixed-bucket log-scale histograms for latency families.
 //!
 //! The runtime's lifecycle phases span six orders of magnitude (a queue
-//! residency of 2 µs next to a batch window of 2 ms), which is exactly
+//! residency of 2 µs next to a 2 ms shard execution), which is exactly
 //! the regime where a quantile *summary* hides the shape of the
 //! distribution: P² converges on a point estimate and throws the rest
 //! away. A histogram with log-spaced buckets keeps the whole shape in

@@ -46,7 +46,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod runtime_metrics;
 pub mod server_metrics;
-pub mod tune_metrics;
 
 pub use event::{EventKind, ProcessKind, TraceEvent, TrackId};
 pub use flight::FlightRecorder;

@@ -46,8 +46,8 @@ pub const JOB_LATENCY: &str = "dwi_runtime_job_latency_seconds";
 pub const SHARD_LATENCY: &str = "dwi_runtime_shard_latency_seconds";
 
 /// Histogram (log-scale buckets): seconds one job spent in one lifecycle
-/// phase, labelled `phase="admit"|"queue"|"coalesce"|"dispatch"|
-/// "execute"|"merge"|"deliver"|"cache_lookup"` and `lane`. Phases
+/// phase, labelled `phase="admit"|"queue"|"dispatch"|"execute"|
+/// "merge"|"deliver"|"cache_lookup"` and `lane`. Phases
 /// telescope: a job's phase durations sum to its end-to-end latency.
 pub const PHASE_SECONDS: &str = "dwi_runtime_phase_seconds";
 
@@ -66,20 +66,8 @@ pub const WORKER_UTILIZATION: &str = "dwi_runtime_worker_utilization";
 /// saturation view (Section IV-F: keep every compute unit fed).
 pub const SHARDS_EXECUTED: &str = "dwi_runtime_shards_executed_total";
 
-/// Counter: fused batches dispatched by the coalescing stage (each batch
-/// is one backend dispatch covering ≥ 2 logical jobs).
-pub const BATCHES_DISPATCHED: &str = "dwi_runtime_batches_dispatched_total";
-
-/// Counter: logical jobs that rode a fused batch, including repeats
-/// deduplicated within the batch. `batched_jobs / batches` is the mean
-/// batch occupancy.
-pub const BATCHED_JOBS: &str = "dwi_runtime_batched_jobs_total";
-
-/// Summary: logical jobs per fused dispatch, observed once per batch.
-pub const BATCH_OCCUPANCY: &str = "dwi_runtime_batch_occupancy";
-
-/// Summary: shard count chosen per kernel job — the adaptive sharding
-/// controller's output (or the static default when adaptivity is off).
+/// Summary: shard count chosen per kernel job — the explicit per-job
+/// override, or the runtime's default shard count.
 pub const SHARDS_PER_JOB: &str = "dwi_runtime_shards_per_job";
 
 /// Gauge: jobs a client currently has in flight through an async
@@ -143,17 +131,6 @@ pub const REMOTE_DISCONNECTS: &str = "dwi_runtime_remote_disconnects_total";
 /// Counter: shards requeued to the local pool after a remote failure.
 pub const REMOTE_REQUEUED: &str = "dwi_runtime_remote_requeued_shards_total";
 
-/// Counter: padded (idle no-op) work-item slots dispatched by cross-quota
-/// batch fusion — short members riding a longer mate burn
-/// `workitems · (q_max − q)` slots each. Zero while every batch is
-/// strictly shaped.
-pub const PADDED_SLOTS: &str = "dwi_runtime_padded_slots_total";
-
-/// Summary: padded slots / total slots of one fused dispatch, observed
-/// once per batch (0 for strictly shaped batches). Bounded above by the
-/// runtime's `max_pad_ratio` waste cap.
-pub const BATCH_PAD_RATIO: &str = "dwi_runtime_batch_pad_ratio";
-
 /// Counter: durable-tier (disk) cache hits — a memory-tier miss rescued
 /// by a verified on-disk entry, promoted back into the LRU. Nonzero on a
 /// warm restart is the "the cache survived the process" signal.
@@ -172,14 +149,6 @@ pub const CACHE_DISK_SPILLS: &str = "dwi_runtime_cache_disk_spills_total";
 /// version, key echo, or payload decode) and were deleted. Every reject
 /// also counts a disk miss; a reject is never trusted or retried.
 pub const CACHE_DISK_REJECTS: &str = "dwi_runtime_cache_disk_rejects_total";
-
-/// Gauge: the adaptive sharding controller's tail-latency feed, one
-/// series per phase of the signal: `signal="window"` carries the true
-/// windowed p99 of per-group shard service time (seconds) once the
-/// window holds enough samples; `signal="ema-prior"` carries the EMA
-/// cold-start prior published until then (a mean, not a quantile —
-/// labeled apart so dashboards can tell).
-pub const SHARD_P99: &str = "dwi_runtime_shard_p99_seconds";
 
 /// Every family the runtime exports — the conservation test walks this
 /// list to assert a mixed run leaves no family silent, and the README's
@@ -200,9 +169,6 @@ pub const ALL: &[&str] = &[
     FLIGHT_RECORDS,
     WORKER_UTILIZATION,
     SHARDS_EXECUTED,
-    BATCHES_DISPATCHED,
-    BATCHED_JOBS,
-    BATCH_OCCUPANCY,
     SHARDS_PER_JOB,
     JOBS_IN_FLIGHT,
     COMPLETION_QUEUE_DEPTH,
@@ -217,11 +183,8 @@ pub const ALL: &[&str] = &[
     REMOTE_SHARD_LATENCY,
     REMOTE_DISCONNECTS,
     REMOTE_REQUEUED,
-    PADDED_SLOTS,
-    BATCH_PAD_RATIO,
     CACHE_DISK_HITS,
     CACHE_DISK_MISSES,
     CACHE_DISK_SPILLS,
     CACHE_DISK_REJECTS,
-    SHARD_P99,
 ];

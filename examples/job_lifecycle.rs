@@ -18,15 +18,10 @@ fn kernel(quota: u64, seed: u32) -> SharedKernel {
 
 fn main() {
     let rec = Recorder::new();
-    let rt = Runtime::new(
-        RuntimeConfig::new(2)
-            .batching(4, Duration::from_micros(200))
-            .flight_capacity(64)
-            .trace(rec.sink()),
-    );
+    let rt = Runtime::new(RuntimeConfig::new(2).flight_capacity(64).trace(rec.sink()));
 
-    // A mixed load: distinct kernel jobs (some sharing a batch-compatible
-    // shape), one exact repeat to exercise the cache-hit fast path.
+    // A mixed load: distinct kernel jobs, one exact repeat to exercise
+    // the cache-hit fast path.
     let handles: Vec<_> = (0..8u32)
         .map(|seed| {
             rt.submit(JobSpec::kernel(
@@ -58,11 +53,11 @@ fn main() {
         let sum: Duration = tl.phases().iter().map(|(_, d)| *d).sum();
         assert_eq!(sum, e2e, "telescoping identity violated");
         println!(
-            "job {:>2} [{}] client {} occupancy {} -> {:.1}us = {}",
+            "job {:>2} [{}] client {} shards {} -> {:.1}us = {}",
             tl.job_id,
             tl.outcome.label(),
             tl.client,
-            tl.batch_occupancy,
+            tl.shards,
             e2e.as_secs_f64() * 1e6,
             phases.join(" + ")
         );
@@ -72,8 +67,7 @@ fn main() {
         .iter()
         .filter(|t| t.outcome == JobOutcome::CacheHit)
         .count();
-    let batched = dump.iter().filter(|t| t.batch_occupancy > 1).count();
-    println!("\n{hits} cache hit(s), {batched} job(s) rode a fused batch");
+    println!("\n{hits} cache hit(s)");
     drop(rt);
     assert!(
         rec.prometheus().contains("dwi_runtime_phase_seconds"),
