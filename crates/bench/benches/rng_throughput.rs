@@ -3,6 +3,7 @@
 //! live in the table/figure binaries).
 
 use dwi_bench::microbench::{black_box, Bench};
+use dwi_core::{GammaListing2, PaperConfig, WorkItemKernel, Workload};
 use dwi_rng::transforms::NormalTransform;
 use dwi_rng::{
     AdaptedMt, BlockMt, GammaKernel, IcdfCuda, IcdfFpga, KernelConfig, MarsagliaBray, NormalMethod,
@@ -101,9 +102,34 @@ fn bench_kernel(b: &mut Bench) {
     }
 }
 
+/// One Config3 work-item from kernel construction to its last step, at the
+/// FPGA geometry of the `paper-gamma` workload (12,288 samples): unlike
+/// `gamma_kernel/*`, the per-work-item set-up is inside the timed region.
+fn bench_workitem(b: &mut Bench) {
+    let cfg = PaperConfig::config3();
+    let workload = Workload {
+        num_scenarios: 49_152,
+        num_sectors: 2,
+        sector_variance: Workload::paper().sector_variance,
+    };
+    let outputs = GammaListing2::for_config(&cfg, &workload, 1).outputs_per_workitem();
+    b.bench_elements("gamma_listing2/config3_workitem", outputs, || {
+        let mut item = GammaListing2::for_config(&cfg, &workload, 1).instantiate(0);
+        let mut emitted = 0u64;
+        loop {
+            let step = item.step();
+            emitted += step.emit.is_some() as u64;
+            if step.done {
+                break black_box(emitted);
+            }
+        }
+    });
+}
+
 fn main() {
     let mut b = Bench::from_args("rng_throughput");
     bench_mt(&mut b);
     bench_transforms(&mut b);
     bench_kernel(&mut b);
+    bench_workitem(&mut b);
 }

@@ -109,7 +109,7 @@ pub struct SectorRun {
 
 enum Transform {
     Bray(MarsagliaBray),
-    Fpga(Box<IcdfFpga>),
+    Fpga(IcdfFpga),
     Cuda(IcdfCuda),
 }
 
@@ -161,7 +161,7 @@ impl GammaKernel {
         assert!(cfg.limit_max_factor >= 1, "limit_max_factor must be >= 1");
         let transform = match cfg.normal {
             NormalMethod::MarsagliaBray => Transform::Bray(MarsagliaBray::new()),
-            NormalMethod::IcdfFpga => Transform::Fpga(Box::default()),
+            NormalMethod::IcdfFpga => Transform::Fpga(IcdfFpga::new()),
             NormalMethod::IcdfCuda => Transform::Cuda(IcdfCuda::new()),
         };
         let alpha = 1.0 / cfg.sector_variance;

@@ -58,24 +58,29 @@ impl AdaptedMt {
     /// using an external flag to enable the internal state update. Once the
     /// current state is finally used and updated, the state index is
     /// incremented by one."
+    ///
+    /// The state indices wrap by comparison rather than `% n`; both forms
+    /// visit the same words because `1 <= m < n` ([`MtParams::validate`]).
     #[inline]
     pub fn next(&mut self, enable: bool) -> u32 {
-        let p = self.params;
+        let p = &self.params;
         let n = p.n;
         let i = self.idx;
-        let y = (self.state[i] & p.upper_mask()) | (self.state[(i + 1) % n] & p.lower_mask());
-        let mut next = self.state[(i + p.m) % n] ^ (y >> 1);
+        let i1 = if i + 1 == n { 0 } else { i + 1 };
+        let im = if i + p.m >= n { i + p.m - n } else { i + p.m };
+        let y = (self.state[i] & p.upper_mask()) | (self.state[i1] & p.lower_mask());
+        let mut next = self.state[im] ^ (y >> 1);
         if y & 1 == 1 {
             next ^= p.a;
         }
         if enable {
             self.state[i] = next;
-            self.idx = (i + 1) % n;
+            self.idx = i1;
             self.committed += 1;
         } else {
             self.gated += 1;
         }
-        temper(next, &p)
+        temper(next, p)
     }
 
     /// Number of committed (consumed) draws so far.
@@ -134,24 +139,39 @@ mod tests {
     fn gating_pattern_preserves_committed_stream() {
         // The committed outputs of an arbitrarily-gated generator equal the
         // plain sequence — exactly the paper's "no RNs are discarded"
-        // requirement (Section II-E).
-        let mut gated = AdaptedMt::new(MT19937, 77);
-        let mut plain = BlockMt::new(MT19937, 77);
-        let mut committed = Vec::new();
-        // Pseudo-random but deterministic gate pattern.
-        let mut lcg = 12345u64;
-        while committed.len() < 1000 {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let enable = (lcg >> 62) != 0; // ~75% enabled
-            let v = gated.next(enable);
-            if enable {
-                committed.push(v);
+        // requirement (Section II-E). Three full passes over the state
+        // cross every index wrap; `m = n - 1` takes the `i + m >= n` branch
+        // on all but the first draw of each pass.
+        let late_m = MtParams {
+            m: MT521.n - 1,
+            ..MT521
+        };
+        assert!(late_m.validate().is_ok());
+        for params in [MT19937, MT521, late_m] {
+            let mut gated = AdaptedMt::new(params, 77);
+            let mut plain = BlockMt::new(params, 77);
+            let mut committed = Vec::new();
+            // Pseudo-random but deterministic gate pattern.
+            let mut lcg = 12345u64;
+            while committed.len() < 3 * params.n + 1000 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let enable = (lcg >> 62) != 0; // ~75% enabled
+                let v = gated.next(enable);
+                if enable {
+                    committed.push(v);
+                }
             }
-        }
-        for (i, v) in committed.iter().enumerate() {
-            assert_eq!(*v, plain.next_u32(), "committed draw {i} diverged");
+            for (i, v) in committed.iter().enumerate() {
+                assert_eq!(
+                    *v,
+                    plain.next_u32(),
+                    "committed draw {i} diverged (n = {}, m = {})",
+                    params.n,
+                    params.m
+                );
+            }
         }
     }
 

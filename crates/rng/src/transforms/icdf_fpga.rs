@@ -14,9 +14,12 @@
 //! CPU vs 807 ms for the CUDA-style version) — the reproduction's cost model
 //! charges those integer chains accordingly.
 //!
-//! The polynomial tables are built once from the double-precision normal
-//! quantile in [`dwi_stats::normal`], standing in for the generator's
-//! offline table-generation flow.
+//! The polynomial tables are built once per process from the
+//! double-precision normal quantile in [`dwi_stats::normal`], standing in
+//! for the generator's offline table-generation flow; every transform then
+//! reads the same table, as every FPGA work-item reads the same ROM.
+
+use std::sync::OnceLock;
 
 use super::NormalTransform;
 
@@ -29,11 +32,13 @@ const SUBSEGS: usize = 16;
 /// Fractional bits of the fixed-point coefficients and evaluation (Q31.32).
 const FRAC_BITS: u32 = 32;
 
+/// `table[octave][subseg] = (c0, c1, c2)` in Q31.32.
+type Table = [[(i64, i64, i64); SUBSEGS]; OCTAVES];
+
 /// Bit-level fixed-point ICDF normal transform.
 #[derive(Clone)]
 pub struct IcdfFpga {
-    /// `coeff[octave][subseg] = (c0, c1, c2)` in Q31.32.
-    coeff: Box<[[(i64, i64, i64); SUBSEGS]]>,
+    coeff: &'static Table,
     stats: crate::rejection::RejectionStats,
 }
 
@@ -54,29 +59,13 @@ impl Default for IcdfFpga {
 }
 
 impl IcdfFpga {
-    /// Build the transform, generating the fixed-point segment tables from
-    /// the double-precision reference quantile.
+    /// Build the transform over the process-wide segment table. The first
+    /// call in a process generates the table from the double-precision
+    /// reference quantile; every later call shares it.
     pub fn new() -> Self {
-        let mut coeff = vec![[(0i64, 0i64, 0i64); SUBSEGS]; OCTAVES].into_boxed_slice();
-        let normal = dwi_stats::Normal::new(0.0, 1.0);
-        for (k, row) in coeff.iter_mut().enumerate() {
-            // Octave k covers u ∈ [2^-(k+2), 2^-(k+1)).
-            let base = 2f64.powi(-(k as i32) - 2);
-            let width = base / SUBSEGS as f64;
-            for (s, cell) in row.iter_mut().enumerate() {
-                let u0 = base + s as f64 * width;
-                // Quadratic through t = 0, 1/2, 1 (Lagrange):
-                let z0 = normal.quantile(u0);
-                let zh = normal.quantile(u0 + 0.5 * width);
-                let z1 = normal.quantile(u0 + width);
-                let c0 = z0;
-                let c1 = -3.0 * z0 + 4.0 * zh - z1;
-                let c2 = 2.0 * z0 - 4.0 * zh + 2.0 * z1;
-                *cell = (to_q(c0), to_q(c1), to_q(c2));
-            }
-        }
+        static TABLE: OnceLock<Table> = OnceLock::new();
         Self {
-            coeff,
+            coeff: TABLE.get_or_init(build_table),
             stats: crate::rejection::RejectionStats::new(),
         }
     }
@@ -140,6 +129,29 @@ impl NormalTransform for IcdfFpga {
     }
 }
 
+/// Fit the fixed-point segment polynomials to the reference quantile.
+fn build_table() -> Table {
+    let mut coeff = [[(0i64, 0i64, 0i64); SUBSEGS]; OCTAVES];
+    let normal = dwi_stats::Normal::new(0.0, 1.0);
+    for (k, row) in coeff.iter_mut().enumerate() {
+        // Octave k covers u ∈ [2^-(k+2), 2^-(k+1)).
+        let base = 2f64.powi(-(k as i32) - 2);
+        let width = base / SUBSEGS as f64;
+        for (s, cell) in row.iter_mut().enumerate() {
+            let u0 = base + s as f64 * width;
+            // Quadratic through t = 0, 1/2, 1 (Lagrange):
+            let z0 = normal.quantile(u0);
+            let zh = normal.quantile(u0 + 0.5 * width);
+            let z1 = normal.quantile(u0 + width);
+            let c0 = z0;
+            let c1 = -3.0 * z0 + 4.0 * zh - z1;
+            let c2 = 2.0 * z0 - 4.0 * zh + 2.0 * z1;
+            *cell = (to_q(c0), to_q(c1), to_q(c2));
+        }
+    }
+    coeff
+}
+
 #[inline]
 fn to_q(x: f64) -> i64 {
     (x * (1u64 << FRAC_BITS) as f64).round() as i64
@@ -175,6 +187,49 @@ mod tests {
             max_err = max_err.max((z as f64 - want).abs());
         }
         assert!(max_err < 2e-3, "max ICDF error {max_err}");
+    }
+
+    #[test]
+    fn concurrent_constructions_share_one_table() {
+        const THREADS: usize = 8;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let tables: Vec<&'static Table> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        IcdfFpga::new().coeff
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("constructor thread panicked"))
+                .collect()
+        });
+        let shared = tables[0];
+        for t in &tables {
+            assert!(
+                std::ptr::eq(*t, shared),
+                "constructions built separate tables"
+            );
+        }
+        let fresh: &'static Table = Box::leak(Box::new(build_table()));
+        for (k, (a, b)) in shared.iter().zip(fresh.iter()).enumerate() {
+            assert_eq!(a, b, "octave {k} differs from a fresh build");
+        }
+        let rebuilt = IcdfFpga {
+            coeff: fresh,
+            stats: crate::rejection::RejectionStats::new(),
+        };
+        let t = IcdfFpga::new();
+        for i in 0..1u32 << 12 {
+            for u in [i << 19, (i << 19) | 0x8000_0000] {
+                let (a, ok_a) = t.attempt_pure(u);
+                let (b, ok_b) = rebuilt.attempt_pure(u);
+                assert_eq!((a.to_bits(), ok_a), (b.to_bits(), ok_b), "u = {u:#x}");
+            }
+        }
     }
 
     #[test]
