@@ -3,7 +3,9 @@
 //! of each choice is printed by `cargo run -p dwi-bench --bin ablations`).
 
 use dwi_bench::microbench::{black_box, Bench};
-use dwi_core::{Combining, DecoupledRunner, PaperConfig, Workload};
+use dwi_core::{
+    Backend, Combining, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+};
 use dwi_hls::pipeline::DelayedCounter;
 use dwi_hls::wide::Packer;
 use dwi_rng::{AdaptedMt, BlockMt, MT19937};
@@ -80,17 +82,14 @@ fn bench_combining(b: &mut Bench) {
         sector_variance: 1.39,
     };
     let cfg = PaperConfig::config3();
+    let kernel = GammaListing2::for_config(&cfg, &w, 1);
+    let plan = ExecutionPlan::for_config(&cfg);
     b.bench("ablation_buffer_combining/device_level", || {
-        black_box(DecoupledRunner::new(&cfg, &w).run().host_buffer.len())
+        black_box(FunctionalDecoupled.execute(&kernel, &plan).cycles)
     });
+    let host_plan = plan.clone().combining(Combining::HostLevel);
     b.bench("ablation_buffer_combining/host_level", || {
-        black_box(
-            DecoupledRunner::new(&cfg, &w)
-                .combining(Combining::HostLevel)
-                .run()
-                .host_buffer
-                .len(),
-        )
+        black_box(FunctionalDecoupled.execute(&kernel, &host_plan).cycles)
     });
 }
 

@@ -2,7 +2,9 @@
 //! scalar reference, and the two buffer-combining strategies.
 
 use dwi_bench::microbench::{black_box, Bench};
-use dwi_core::{Combining, DecoupledRunner, PaperConfig, Workload};
+use dwi_core::{
+    Backend, Combining, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+};
 use dwi_rng::GammaKernel;
 
 fn workload() -> Workload {
@@ -20,15 +22,14 @@ fn main() {
     let total = w.scenarios_per_workitem(cfg.fpga_workitems) as u64
         * w.num_sectors as u64
         * cfg.fpga_workitems as u64;
+    let kernel = GammaListing2::for_config(&cfg, &w, 1);
+    let plan = ExecutionPlan::for_config(&cfg);
     b.bench_elements("decoupled_6wi_device_combining", total, || {
-        let run = DecoupledRunner::new(&cfg, &w).run();
-        black_box(run.host_buffer.len())
+        black_box(FunctionalDecoupled.execute(&kernel, &plan).cycles)
     });
+    let host_plan = plan.clone().combining(Combining::HostLevel);
     b.bench_elements("decoupled_6wi_host_combining", total, || {
-        let run = DecoupledRunner::new(&cfg, &w)
-            .combining(Combining::HostLevel)
-            .run();
-        black_box(run.host_buffer.len())
+        black_box(FunctionalDecoupled.execute(&kernel, &host_plan).cycles)
     });
     let kcfg = cfg.kernel_config(&w, 1);
     b.bench_elements("scalar_reference_6_kernels", total, || {

@@ -133,19 +133,20 @@ fn main() {
     // compute and transfer process on its own track, no lockstep idling.
     let obs = ObsArgs::from_env();
     if obs.enabled() {
-        use dwi_core::{DecoupledRunner, PaperConfig, Workload};
+        use dwi_core::{
+            Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+        };
         let rec = dwi_trace::Recorder::new();
-        DecoupledRunner::new(
-            &PaperConfig::config1(),
-            &Workload {
-                num_scenarios: 24_576,
-                num_sectors: 2,
-                sector_variance: 1.39,
-            },
-        )
-        .seed(2)
-        .trace(rec.sink())
-        .run();
+        let cfg = PaperConfig::config1();
+        let workload = Workload {
+            num_scenarios: 24_576,
+            num_sectors: 2,
+            sector_variance: 1.39,
+        };
+        FunctionalDecoupled.execute(
+            &GammaListing2::for_config(&cfg, &workload, 2),
+            &ExecutionPlan::for_config(&cfg).trace(rec.sink()),
+        );
         obs.write(&rec);
     }
 }

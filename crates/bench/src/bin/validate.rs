@@ -3,7 +3,10 @@
 
 use dwi_bench::obs::ObsArgs;
 use dwi_bench::render::TextTable;
-use dwi_core::{validate_run, Combining, DecoupledRunner, PaperConfig, Workload};
+use dwi_core::{
+    validate_report, Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig,
+    Workload,
+};
 use dwi_trace::Recorder;
 
 fn main() {
@@ -22,12 +25,11 @@ fn main() {
                 num_sectors: 1,
                 sector_variance: v,
             };
-            let run = DecoupledRunner::new(&cfg, &w)
-                .seed(0xC0FFEE)
-                .combining(Combining::DeviceLevel)
-                .trace(sink.clone())
-                .run();
-            let report = validate_run(&run, cfg.fpga_workitems, v as f64, 40_000);
+            let run = FunctionalDecoupled.execute(
+                &GammaListing2::for_config(&cfg, &w, 0xC0FFEE),
+                &ExecutionPlan::for_config(&cfg).trace(sink.clone()),
+            );
+            let report = validate_report(&run, v as f64, 40_000);
             t.row(&[
                 cfg.name(),
                 format!("{v}"),

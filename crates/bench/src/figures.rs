@@ -1,7 +1,9 @@
 //! Data builders for every table and figure.
 
 use dwi_core::experiment::{measure_rejection_overhead, table3};
-use dwi_core::{IcdfStyle, PaperConfig, Workload};
+use dwi_core::{
+    Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, IcdfStyle, PaperConfig, Workload,
+};
 use dwi_energy::profiles::{all_devices, FPGA_POWER};
 use dwi_hls::memory::BurstChannel;
 use dwi_hls::resources::{design_cost, ResourceReport, XC7VX690T};
@@ -154,19 +156,15 @@ pub fn fig6_data(
         num_sectors: 1,
         sector_variance: v,
     };
-    let run = dwi_core::DecoupledRunner::new(&cfg, &workload)
-        .seed(seed)
-        .run();
+    let kernel = GammaListing2::for_config(&cfg, &workload, seed);
+    let report = FunctionalDecoupled.execute(&kernel, &ExecutionPlan::for_config(&cfg));
     let dist = dwi_stats::Gamma::from_sector_variance(v as f64);
     let hi = dist.quantile(0.999);
     let mut hist = dwi_stats::Histogram::new(0.0, hi, 60);
-    let valid = run.outputs_per_workitem as usize;
-    let region = run.host_buffer.len() / cfg.fpga_workitems as usize;
     let mut sample = Vec::new();
-    for wid in 0..cfg.fpga_workitems as usize {
-        let slice = &run.host_buffer[wid * region..wid * region + valid];
-        hist.extend_f32(slice);
-        sample.extend(slice.iter().map(|&x| x as f64));
+    for wi in &report.samples {
+        hist.extend_f32(wi);
+        sample.extend(wi.iter().map(|&x| x as f64));
     }
     // KS on a subsample to keep the p-value meaningful at huge n.
     sample.truncate(50_000);

@@ -1,7 +1,7 @@
 //! The paper's engine on the unified layer: one compute thread + one
 //! transfer thread per work-item, coupled by a blocking `hls::stream`.
 
-use super::{Backend, BackendDetail, ExecutionPlan, RunReport};
+use super::{Backend, BackendDetail, Combining, ExecutionPlan, RunReport};
 use crate::device_memory::DeviceMemory;
 use crate::kernel::{DivergenceCounts, WorkItemKernel};
 use crate::transfer::{transfer_traced, TransferEngine, TransferStats};
@@ -14,9 +14,10 @@ use dwi_trace::{Counter, ProcessKind, Track};
 /// each work-item bursting into its own region of device memory. No
 /// work-item ever waits on another's data-dependent branches.
 ///
-/// Trace output (tracks, spans, `dwi_*` metrics) is identical to the
-/// legacy [`DecoupledRunner`](crate::decoupled::DecoupledRunner), which now
-/// runs on this backend.
+/// With a live [`ExecutionPlan::sink`] the run records one compute and
+/// one transfer track per work-item (`wi{k}/compute`, `wi{k}/transfer`):
+/// sector spans, rejection instants, burst spans, stream stalls and the
+/// `dwi_*` metrics set.
 ///
 /// Two schedulers, one result: with a live trace sink each pair runs as
 /// real OS threads (so the Fig. 3 interleaving is observable on the
@@ -179,8 +180,8 @@ impl Backend for FunctionalDecoupled {
         let host_track = plan.sink.track(plan.wid_base, ProcessKind::Host);
         let t_combine = host_track.now_ns();
         let host_buffer = match plan.combining {
-            crate::decoupled::Combining::DeviceLevel => memory.read_to_host(),
-            crate::decoupled::Combining::HostLevel => {
+            Combining::DeviceLevel => memory.read_to_host(),
+            Combining::HostLevel => {
                 let mut host = vec![0f32; memory.len_f32()];
                 let region_len = words_per_wi * 16;
                 for wid in 0..n {
@@ -220,5 +221,183 @@ impl Backend for FunctionalDecoupled {
                 stream_stalls: stalls,
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{PaperConfig, Workload};
+    use crate::kernel::GammaListing2;
+    use dwi_rng::GammaKernel;
+    use dwi_trace::{Recorder, TrackId};
+
+    fn small_workload() -> Workload {
+        Workload {
+            num_scenarios: 4096,
+            num_sectors: 3,
+            sector_variance: 1.39,
+        }
+    }
+
+    fn run(cfg: &PaperConfig, w: &Workload, seed: u64, plan: ExecutionPlan) -> RunReport {
+        FunctionalDecoupled.execute(&GammaListing2::for_config(cfg, w, seed), &plan)
+    }
+
+    fn host_buffer(report: &RunReport) -> &[f32] {
+        let BackendDetail::Decoupled { host_buffer, .. } = &report.detail else {
+            unreachable!("FunctionalDecoupled reports Decoupled detail")
+        };
+        host_buffer
+    }
+
+    #[test]
+    fn regions_match_reference_kernels_exactly() {
+        // Each work-item's host-buffer region must equal the scalar
+        // reference kernel's stream sample-for-sample.
+        let cfg = PaperConfig::config1();
+        let w = small_workload();
+        let report = run(&cfg, &w, 7, ExecutionPlan::for_config(&cfg));
+        let buffer = host_buffer(&report);
+        let kcfg = cfg.kernel_config(&w, 7);
+        let region = buffer.len() / cfg.fpga_workitems as usize;
+        for wid in 0..cfg.fpga_workitems {
+            let mut reference = Vec::new();
+            GammaKernel::new(&kcfg, wid).run_all(&mut reference);
+            let base = wid as usize * region;
+            assert_eq!(
+                &buffer[base..base + reference.len()],
+                &reference[..],
+                "work-item {wid} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn all_configs_meet_quota_and_transfer_every_rn() {
+        let w = Workload {
+            num_scenarios: 1024,
+            num_sectors: 2,
+            sector_variance: 1.39,
+        };
+        for cfg in PaperConfig::all() {
+            let report = run(&cfg, &w, 1, ExecutionPlan::for_config(&cfg));
+            assert!(report.complete(), "{}", cfg.name());
+            let quota = w.scenarios_per_workitem(cfg.fpga_workitems) as u64;
+            assert_eq!(report.quota, quota * 2);
+            let BackendDetail::Decoupled { transfers, .. } = &report.detail else {
+                unreachable!()
+            };
+            assert_eq!(
+                transfers.iter().map(|t| t.rns).sum::<u64>(),
+                report.quota * cfg.fpga_workitems as u64,
+                "{}: transfer engines must see every RN",
+                cfg.name()
+            );
+        }
+    }
+
+    #[test]
+    fn outputs_are_gamma_distributed() {
+        let cfg = PaperConfig::config2();
+        let w = Workload {
+            num_scenarios: 16_384,
+            num_sectors: 1,
+            sector_variance: 1.39,
+        };
+        let report = run(&cfg, &w, 13, ExecutionPlan::for_config(&cfg));
+        let valid: Vec<f64> = report.samples[0].iter().map(|&x| x as f64).collect();
+        let dist = dwi_stats::Gamma::from_sector_variance(1.39);
+        let r = dwi_stats::ks_test(&valid, |x| dist.cdf(x));
+        assert!(r.accepts(1e-4), "KS p = {}", r.p_value);
+    }
+
+    #[test]
+    fn combining_strategies_are_byte_identical() {
+        // Section III-E: both strategies must produce the same host buffer.
+        let cfg = PaperConfig::config3();
+        let w = small_workload();
+        let plan = ExecutionPlan::for_config(&cfg);
+        let dev = run(&cfg, &w, 3, plan.clone());
+        let host = run(&cfg, &w, 3, plan.combining(Combining::HostLevel));
+        assert_eq!(host_buffer(&dev), host_buffer(&host));
+    }
+
+    #[test]
+    fn rejection_overhead_in_paper_band() {
+        let w = Workload {
+            num_scenarios: 16_384,
+            num_sectors: 2,
+            sector_variance: 1.39,
+        };
+        let overhead = |cfg: PaperConfig| {
+            run(&cfg, &w, 5, ExecutionPlan::for_config(&cfg))
+                .rejection
+                .overhead()
+        };
+        let bray = overhead(PaperConfig::config1());
+        assert!((0.27..0.34).contains(&bray), "M-Bray overhead {bray}");
+        let icdf = overhead(PaperConfig::config3());
+        assert!(icdf < 0.09, "ICDF overhead {icdf}");
+    }
+
+    #[test]
+    fn work_items_progress_independently() {
+        // Iteration counts differ across work-items (independent rejection
+        // streams) — none of them is quantized to the slowest.
+        let cfg = PaperConfig::config1();
+        let report = run(&cfg, &small_workload(), 11, ExecutionPlan::for_config(&cfg));
+        let min = report.iterations.iter().min().unwrap();
+        let max = report.iterations.iter().max().unwrap();
+        assert!(max > min, "{:?}", report.iterations);
+    }
+
+    #[test]
+    fn depth1_stream_surfaces_write_stalls() {
+        // With a depth-1 FIFO the transfer engine back-pressures the
+        // compute side, and the run must report it.
+        let cfg = PaperConfig::config1();
+        let plan = ExecutionPlan::for_config(&cfg).stream_depth(1);
+        let report = run(&cfg, &small_workload(), 2, plan);
+        let BackendDetail::Decoupled { stream_stalls, .. } = &report.detail else {
+            unreachable!()
+        };
+        assert_eq!(stream_stalls.len(), 6);
+        let write_stalls: u64 = stream_stalls.iter().map(|&(w, _)| w).sum();
+        assert!(write_stalls > 0, "depth-1 streams must stall writes");
+    }
+
+    #[test]
+    fn traced_run_records_all_tracks_and_metrics() {
+        let rec = Recorder::new();
+        let cfg = PaperConfig::config1();
+        let w = small_workload();
+        let plan = ExecutionPlan::for_config(&cfg);
+        let traced = run(&cfg, &w, 4, plan.clone().trace(rec.sink()));
+        // Identical output to the untraced (cooperative) scheduler.
+        assert_eq!(host_buffer(&traced), host_buffer(&run(&cfg, &w, 4, plan)));
+        // Every work-item contributes a compute and a transfer track.
+        let events = rec.events();
+        for wid in 0..cfg.fpga_workitems {
+            for kind in [ProcessKind::Compute, ProcessKind::Transfer] {
+                assert!(
+                    events.iter().any(|e| e.track == TrackId::new(wid, kind)),
+                    "missing {kind:?} track for wi{wid}"
+                );
+            }
+        }
+        // Metrics: iterations and bursts accounted per work-item.
+        let BackendDetail::Decoupled { transfers, .. } = &traced.detail else {
+            unreachable!()
+        };
+        for (wid, (iters, t)) in traced.iterations.iter().zip(transfers).enumerate() {
+            let key = format!("dwi_workitem_iterations_total{{wid=\"{wid}\"}}");
+            assert_eq!(rec.metrics().counter_value(&key), Some(*iters), "{key}");
+            let key = format!("dwi_transfer_bursts_total{{wid=\"{wid}\"}}");
+            assert_eq!(rec.metrics().counter_value(&key), Some(t.bursts), "{key}");
+        }
+        let prom = rec.prometheus();
+        assert!(prom.contains("dwi_rejection_retries_total"));
+        assert!(prom.contains("dwi_sector_latency_seconds"));
     }
 }

@@ -100,3 +100,68 @@ impl Backend for LockstepCoupled {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{PaperConfig, Workload};
+    use crate::kernel::GammaListing2;
+    use dwi_ocl::simt::divergence_factor;
+
+    /// Lockstep run of `cfg`'s gamma kernel at `width` lanes, each lane
+    /// keeping the quota the paper configuration gives it.
+    fn run(cfg: &PaperConfig, seed: u64, width: u32) -> RunReport {
+        let w = Workload {
+            num_scenarios: 8192,
+            num_sectors: 1,
+            sector_variance: 1.39,
+        };
+        let kernel = GammaListing2::for_config(cfg, &w, seed);
+        LockstepCoupled.execute(&kernel, &ExecutionPlan::new(width))
+    }
+
+    /// Coupled over decoupled runtime on the same area: lockstep cycles
+    /// over the slowest lane's own iterations.
+    fn decoupling_gain(r: &RunReport) -> f64 {
+        r.cycles as f64 / *r.iterations.iter().max().unwrap() as f64
+    }
+
+    #[test]
+    fn lockstep_cost_matches_divergence_factor() {
+        // The functional lockstep run must land on the closed-form D(q, W).
+        let r = run(&PaperConfig::config1(), 3, 8);
+        let per_output = r.cycles as f64 / r.quota as f64;
+        let d = divergence_factor(0.2334, 8);
+        assert!(
+            (per_output - d).abs() / d < 0.05,
+            "lockstep {per_output} vs D {d}"
+        );
+    }
+
+    #[test]
+    fn decoupling_gain_in_paper_band() {
+        // At W = 8 and the Marsaglia-Bray chain, coupling costs ~1.8× the
+        // decoupled design on the same area.
+        let gain = decoupling_gain(&run(&PaperConfig::config1(), 7, 8));
+        assert!((1.5..2.2).contains(&gain), "decoupling gain {gain}");
+    }
+
+    #[test]
+    fn icdf_chain_couples_almost_freely() {
+        // Low rejection ⇒ little divergence ⇒ decoupling buys little — the
+        // Config3/4 crossover of Table III in miniature.
+        let gain = decoupling_gain(&run(&PaperConfig::config3(), 5, 8));
+        assert!(gain < 1.2, "ICDF coupling gain should be small, got {gain}");
+    }
+
+    #[test]
+    fn coupling_overhead_grows_with_width() {
+        // Fraction of lockstep cycles an average lane spends idle.
+        let overhead = |r: RunReport| {
+            let per_lane = r.total_iterations() as f64 / r.workitems as f64;
+            1.0 - per_lane / r.cycles as f64
+        };
+        let cfg = PaperConfig::config1();
+        assert!(overhead(run(&cfg, 1, 16)) > overhead(run(&cfg, 1, 2)));
+    }
+}

@@ -41,7 +41,6 @@ pub use ndrange::NdRange;
 pub use simt::SimtTrace;
 
 use crate::config::PaperConfig;
-use crate::decoupled::Combining;
 use crate::kernel::{DivergenceCounts, WorkItemKernel};
 use crate::model::iterations_runtime_s;
 use crate::transfer::TransferStats;
@@ -50,6 +49,17 @@ use dwi_hls::sim::SimResult;
 use dwi_ocl::simt::LockstepResult;
 use dwi_rng::RejectionStats;
 use dwi_trace::TraceSink;
+
+/// How the host combines per-work-item output buffers (Section III-E).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combining {
+    /// One device buffer, per-work-item offsets, a single read request —
+    /// the paper's chosen strategy (III-E-2).
+    DeviceLevel,
+    /// N device buffers, N read requests, merged into one host buffer at
+    /// per-work-item offsets (III-E-1).
+    HostLevel,
+}
 
 /// Geometry and platform parameters of one execution — everything a
 /// backend needs besides the kernel itself.

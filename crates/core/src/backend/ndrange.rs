@@ -117,3 +117,69 @@ impl Backend for NdRange {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{PaperConfig, Workload};
+    use crate::kernel::GammaListing2;
+
+    fn workload() -> Workload {
+        Workload {
+            num_scenarios: 2048,
+            num_sectors: 2,
+            sector_variance: 1.39,
+        }
+    }
+
+    /// `groups` pipelines of `local_size` work-items each, with the quota
+    /// re-derived for that many work-items.
+    fn run(cfg: &PaperConfig, seed: u64, groups: u32, local_size: u32) -> RunReport {
+        let n = groups * local_size;
+        let kernel = GammaListing2::for_workitems(cfg, &workload(), seed, n);
+        NdRange.execute(&kernel, &ExecutionPlan::new(n).local_size(local_size))
+    }
+
+    #[test]
+    fn runtime_depends_on_pipelines_not_grouping() {
+        // 6 pipelines × 1 WI vs 3 pipelines × 2 WIs: same work-items, but
+        // half the pipelines → ~double the runtime (Section III-A).
+        let cfg = PaperConfig::config1();
+        let six = run(&cfg, 4, 6, 1);
+        let three = run(&cfg, 4, 3, 2);
+        let ratio = three.runtime_s(200e6) / six.runtime_s(200e6);
+        assert!(
+            (1.7..2.3).contains(&ratio),
+            "halving pipelines should ~double runtime, got {ratio}"
+        );
+        assert_eq!(six.samples.concat().len(), three.samples.concat().len());
+    }
+
+    #[test]
+    fn grouped_outputs_are_valid_gammas() {
+        let report = run(&PaperConfig::config3(), 2, 2, 4);
+        let BackendDetail::NdRange { outputs, .. } = &report.detail else {
+            unreachable!("NdRange reports NdRange detail")
+        };
+        assert!(outputs.iter().all(|&g| g >= 0.0 && g.is_finite()));
+        let mut s = dwi_stats::Summary::new();
+        s.extend_f32(outputs);
+        assert!((s.mean() - 1.0).abs() < 0.05, "mean {}", s.mean());
+    }
+
+    #[test]
+    fn rejection_stats_aggregate_all_workitems() {
+        let report = run(&PaperConfig::config1(), 1, 2, 3);
+        let quota = workload().scenarios_per_workitem(6) as u64;
+        // The delayed loop-exit counter can accept (but not write) up to one
+        // extra output per sector run, so `accepted` may slightly exceed the
+        // written quota.
+        let written = 6 * quota * 2;
+        assert!(report.rejection.accepted >= written);
+        assert!(report.rejection.accepted <= written + 6 * 2 * 2);
+        let BackendDetail::NdRange { outputs, .. } = &report.detail else {
+            unreachable!("NdRange reports NdRange detail")
+        };
+        assert_eq!(outputs.len() as u64, written);
+    }
+}

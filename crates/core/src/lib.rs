@@ -5,9 +5,15 @@
 //!
 //! * [`config`] — the four evaluation configurations of Table I and their
 //!   platform mappings,
-//! * [`decoupled`] — Listing 1: `DecoupledWorkItems`, running each
-//!   work-item as an independent `GammaRNG` → `hls::stream` → `Transfer`
-//!   pipeline (threads in the functional simulation),
+//! * [`kernel`] — the rewritable Listing 2 slot: [`WorkItemKernel`] and the
+//!   paper's gamma chain, [`GammaListing2`]; [`apps`] holds two more
+//!   applications,
+//! * [`backend`] — the engines that run any kernel under an
+//!   [`ExecutionPlan`]; [`FunctionalDecoupled`] is Listing 1,
+//!   `DecoupledWorkItems`, running each work-item as an independent
+//!   compute → `hls::stream` → `Transfer` pipeline, and [`LockstepCoupled`]
+//!   and [`NdRange`] are the coupled counterfactual and the `.cl` NDRange
+//!   formulation,
 //! * [`transfer`] — Listing 4: 512-bit packing and fixed-length bursts into
 //!   device global memory, plus the two host buffer-combining strategies of
 //!   Section III-E,
@@ -28,17 +34,13 @@
 pub mod apps;
 pub mod backend;
 pub mod config;
-pub mod coupled;
-pub mod decoupled;
 pub mod device_memory;
 pub mod digest;
 pub mod experiment;
-pub mod generic;
 pub mod graph;
 pub mod icdf_fixed;
 pub mod kernel;
 pub mod model;
-pub mod ndrange_variant;
 pub mod serial;
 pub mod stages;
 pub mod transfer;
@@ -46,19 +48,16 @@ pub mod validation;
 
 pub use apps::{SeverityExpMix, TruncatedNormalKernel};
 pub use backend::{
-    all_backends, Backend, BackendDetail, CycleSim, ExecutionPlan, FunctionalDecoupled,
+    all_backends, Backend, BackendDetail, Combining, CycleSim, ExecutionPlan, FunctionalDecoupled,
     LockstepCoupled, NdRange, RunReport, SimtTrace,
 };
 pub use config::{IcdfStyle, PaperConfig, Workload};
-pub use coupled::{lockstep_counterfactual, CoupledRun};
-pub use decoupled::{Combining, DecoupledRun, DecoupledRunner};
 pub use device_memory::DeviceMemory;
 pub use digest::Digest;
 pub use experiment::{
     calibration_kernel, measure_rejection_overhead, table3, table3_with, PlatformRuntime, Table3,
     Table3Row,
 };
-pub use generic::{TruncatedNormal, WorkItemApp};
 pub use graph::{
     EdgeReport, GraphDataflow, GraphPlan, GraphReport, KernelGraph, SharedStageKernel, StageInput,
     StageInstance, StageKernel, StagedKernel,
@@ -68,6 +67,5 @@ pub use kernel::{
     WorkItemKernel,
 };
 pub use model::{eq1_runtime_s, iterations_runtime_s, FpgaRuntimeModel};
-pub use ndrange_variant::{ndrange_runtime_s, NdRangeRun, NdRangeRunner};
 pub use stages::{credit_pipeline, SeverityScale, WindowAggregate};
-pub use validation::{validate_report, validate_run, ValidationReport};
+pub use validation::{validate_report, ValidationReport};

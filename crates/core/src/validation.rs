@@ -3,10 +3,9 @@
 //! The paper validates visually against Matlab's `gamrnd`; this module
 //! packages the reproduction's stronger check — moments, KS, Anderson-
 //! Darling and a histogram against the analytic Gamma(1/v, v) — into one
-//! report over a decoupled run's output buffer.
+//! report over a run's emitted samples.
 
 use crate::backend::RunReport;
-use crate::decoupled::DecoupledRun;
 use dwi_stats::{ad_test, ks_test, AdResult, Gamma, Histogram, KsResult, Summary};
 
 /// Validation report of one generated gamma sequence.
@@ -54,31 +53,6 @@ impl ValidationReport {
     }
 }
 
-/// Validate a decoupled run's buffer against Gamma(1/v, v), using up to
-/// `max_samples` values (valid regions of every work-item).
-pub fn validate_run(
-    run: &DecoupledRun,
-    workitems: u32,
-    sector_variance: f64,
-    max_samples: usize,
-) -> ValidationReport {
-    let region = run.host_buffer.len() / workitems as usize;
-    let valid = run.outputs_per_workitem as usize;
-    let mut sample: Vec<f64> = Vec::new();
-    for wid in 0..workitems as usize {
-        sample.extend(
-            run.host_buffer[wid * region..wid * region + valid]
-                .iter()
-                .map(|&x| x as f64),
-        );
-        if sample.len() >= max_samples {
-            sample.truncate(max_samples);
-            break;
-        }
-    }
-    validate_samples(sample, sector_variance)
-}
-
 /// Validate a unified-layer [`RunReport`]'s sample streams against
 /// Gamma(1/v, v), using up to `max_samples` values (every work-item's
 /// emitted sequence, in work-item order). Works with any backend — the
@@ -96,11 +70,6 @@ pub fn validate_report(
             break;
         }
     }
-    validate_samples(sample, sector_variance)
-}
-
-/// The shared core: run the full test battery over a collected sample.
-fn validate_samples(sample: Vec<f64>, sector_variance: f64) -> ValidationReport {
     assert!(sample.len() >= 64, "not enough samples to validate");
     let dist = Gamma::from_sector_variance(sector_variance);
     let mut summary = Summary::new();
@@ -123,74 +92,49 @@ fn validate_samples(sample: Vec<f64>, sector_variance: f64) -> ValidationReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, ExecutionPlan, FunctionalDecoupled};
     use crate::config::{PaperConfig, Workload};
-    use crate::decoupled::DecoupledRunner;
+    use crate::kernel::GammaListing2;
 
-    fn run(v: f32, scenarios: u64) -> (DecoupledRun, PaperConfig) {
+    fn run(v: f32, scenarios: u64) -> RunReport {
         let cfg = PaperConfig::config1();
         let w = Workload {
             num_scenarios: scenarios,
             num_sectors: 1,
             sector_variance: v,
         };
-        let r = DecoupledRunner::new(&cfg, &w).seed(31).run();
-        (r, cfg)
+        let kernel = GammaListing2::for_config(&cfg, &w, 31);
+        FunctionalDecoupled.execute(&kernel, &ExecutionPlan::for_config(&cfg))
     }
 
     #[test]
     fn valid_sequences_pass_all_tests() {
         for v in [1.39f32, 13.9] {
-            let (r, cfg) = run(v, 24_576);
-            let report = validate_run(&r, cfg.fpga_workitems, v as f64, 30_000);
+            let report = validate_report(&run(v, 24_576), v as f64, 30_000);
             assert!(report.passes(1e-4), "v={v}: {}", report.render());
         }
     }
 
     #[test]
-    fn corrupted_buffer_fails_validation() {
-        let (mut r, cfg) = run(1.39, 8192);
-        // Corrupt: scale the first work-item's region.
-        let region = r.host_buffer.len() / cfg.fpga_workitems as usize;
-        for x in r.host_buffer[..region].iter_mut() {
+    fn corrupted_samples_fail_validation() {
+        let mut r = run(1.39, 8192);
+        // Corrupt: scale the first work-item's samples.
+        for x in r.samples[0].iter_mut() {
             *x *= 2.0;
         }
-        let report = validate_run(&r, cfg.fpga_workitems, 1.39, 20_000);
+        let report = validate_report(&r, 1.39, 20_000);
         assert!(!report.passes(1e-4), "corruption must be detected");
     }
 
     #[test]
     fn wrong_variance_hypothesis_rejected() {
-        let (r, cfg) = run(1.39, 8192);
-        let report = validate_run(&r, cfg.fpga_workitems, 5.0, 20_000);
+        let report = validate_report(&run(1.39, 8192), 5.0, 20_000);
         assert!(!report.passes(1e-4));
     }
 
     #[test]
-    fn validate_report_agrees_with_validate_run() {
-        use crate::backend::{Backend, ExecutionPlan, FunctionalDecoupled};
-        use crate::kernel::GammaListing2;
-        let cfg = PaperConfig::config1();
-        let w = Workload {
-            num_scenarios: 24_576,
-            num_sectors: 1,
-            sector_variance: 1.39,
-        };
-        let kernel = GammaListing2::for_config(&cfg, &w, 31);
-        let report = FunctionalDecoupled.execute(&kernel, &ExecutionPlan::for_config(&cfg));
-        let vr = validate_report(&report, 1.39, 30_000);
-        assert!(vr.passes(1e-4), "{}", vr.render());
-        // The report's samples are the same valid prefixes validate_run
-        // reads out of the host buffer — identical verdict, stat for stat.
-        let (legacy, cfg2) = run(1.39, 24_576);
-        let lr = validate_run(&legacy, cfg2.fpga_workitems, 1.39, 30_000);
-        assert_eq!(vr.render(), lr.render());
-    }
-
-    #[test]
     fn render_contains_key_stats() {
-        let (r, cfg) = run(1.39, 4096);
-        let report = validate_run(&r, cfg.fpga_workitems, 1.39, 10_000);
-        let s = report.render();
+        let s = validate_report(&run(1.39, 4096), 1.39, 10_000).render();
         assert!(s.contains("KS(") && s.contains("AD(") && s.contains("mean="));
     }
 }

@@ -1,8 +1,12 @@
 //! Randomized case-sweep tests for the decoupled-work-items core
 //! (deterministic `dwi-testkit` generator).
 
+use dwi_core::kernel::reference_samples;
 use dwi_core::transfer::transfer;
-use dwi_core::{Combining, DecoupledRunner, PaperConfig, TruncatedNormal, WorkItemApp, Workload};
+use dwi_core::{
+    Backend, BackendDetail, Combining, ExecutionPlan, FunctionalDecoupled, GammaListing2,
+    PaperConfig, RunReport, TruncatedNormalKernel, Workload,
+};
 use dwi_hls::stream::Stream;
 use dwi_hls::wide::{unpack_words, Wide512};
 use dwi_testkit::cases;
@@ -32,6 +36,13 @@ fn transfer_round_trips_any_stream() {
     });
 }
 
+fn host_buffer(run: &RunReport) -> &[f32] {
+    let BackendDetail::Decoupled { host_buffer, .. } = &run.detail else {
+        unreachable!("FunctionalDecoupled reports Decoupled detail")
+    };
+    host_buffer
+}
+
 #[test]
 fn decoupled_quota_always_met() {
     cases(24, |r| {
@@ -44,11 +55,13 @@ fn decoupled_quota_always_met() {
             num_sectors: sectors,
             sector_variance: 1.39,
         };
-        let run = DecoupledRunner::new(&cfg, &w).seed(seed).run();
+        let kernel = GammaListing2::for_config(&cfg, &w, seed);
+        let run = FunctionalDecoupled.execute(&kernel, &ExecutionPlan::for_config(&cfg));
         let quota = w.scenarios_per_workitem(cfg.fpga_workitems) as u64 * sectors as u64;
-        assert_eq!(run.outputs_per_workitem, quota);
+        assert_eq!(run.quota, quota);
+        assert!(run.complete());
         assert!(run.iterations.iter().all(|&i| i >= quota));
-        assert!(run.host_buffer.iter().all(|x| x.is_finite() && *x >= 0.0));
+        assert!(host_buffer(&run).iter().all(|x| x.is_finite() && *x >= 0.0));
     });
 }
 
@@ -63,10 +76,11 @@ fn combining_equivalence_any_workload() {
             num_sectors: 1,
             sector_variance: 1.39,
         };
-        let runner = DecoupledRunner::new(&cfg, &w).seed(seed);
-        let a = runner.clone().combining(Combining::DeviceLevel).run();
-        let b = runner.combining(Combining::HostLevel).run();
-        assert_eq!(a.host_buffer, b.host_buffer);
+        let kernel = GammaListing2::for_config(&cfg, &w, seed);
+        let plan = ExecutionPlan::for_config(&cfg);
+        let a = FunctionalDecoupled.execute(&kernel, &plan);
+        let b = FunctionalDecoupled.execute(&kernel, &plan.combining(Combining::HostLevel));
+        assert_eq!(host_buffer(&a), host_buffer(&b));
     });
 }
 
@@ -75,9 +89,8 @@ fn truncated_normal_never_violates_bound() {
     cases(24, |r| {
         let a = r.f32_range(0.0, 3.0);
         let seed = r.next_u32();
-        let mut app = TruncatedNormal::with_default_mt(a, seed, 0);
-        let mut min = f32::INFINITY;
-        app.run(500, &mut |x| min = min.min(x));
+        let samples = reference_samples(&TruncatedNormalKernel::new(a, 500, seed), 0);
+        let min = samples.iter().copied().fold(f32::INFINITY, f32::min);
         assert!(min >= a, "sample {min} below the truncation point {a}");
     });
 }

@@ -288,45 +288,61 @@ fn burst_channel(v: Option<&Json>) -> Result<BurstChannel, String> {
     }
 }
 
+/// A non-negative integer field that fits in a `u32`.
+fn uint32(obj: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(uint(obj, key)?).map_err(|_| format!("field '{key}' exceeds {}", u32::MAX))
+}
+
+/// [`uint32`], or `default` when the field is absent.
+fn uint32_or(obj: &Json, key: &str, default: u32) -> Result<u32, String> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(default),
+        Some(_) => uint32(obj, key),
+    }
+}
+
 /// Build the [`ExecutionPlan`] a `"plan"` object describes: `workitems`
-/// required, everything else the library default.
+/// required, everything else the library default. Every geometry field
+/// is checked here, so no plan that parses can trip an engine assert.
 fn build_plan(p: &Json) -> Result<ExecutionPlan, String> {
-    let workitems = uint(p, "workitems")? as u32;
+    let workitems = uint32(p, "workitems")?;
     if workitems < 1 {
         return Err("plan needs at least one work-item".into());
     }
-    let mut plan = ExecutionPlan::new(workitems);
-    let local_size = num_or(p, "local_size", 1.0)? as u32;
-    if local_size < 1 {
-        return Err("local_size must be at least 1".into());
+    let local_size = uint32_or(p, "local_size", 1)?;
+    if local_size < 1 || !workitems.is_multiple_of(local_size) {
+        return Err(format!(
+            "local_size must be at least 1 and divide workitems ({workitems})"
+        ));
     }
-    plan = plan.local_size(local_size);
-    let stream_depth = num_or(p, "stream_depth", 64.0)? as usize;
+    let stream_depth = uint32_or(p, "stream_depth", 64)?;
     if stream_depth < 1 {
         return Err("stream_depth must be at least 1".into());
     }
-    plan = plan.stream_depth(stream_depth);
-    let burst = num_or(p, "burst_rns", 256.0)? as u64;
+    let burst = uint32_or(p, "burst_rns", 256)?;
     if burst < 16 || !burst.is_multiple_of(16) {
         return Err("burst_rns must be a multiple of 16, at least 16".into());
     }
-    plan = plan.burst_rns(burst);
-    if let Some(wb) = p.get("wid_base") {
-        plan = plan.wid_base(
-            wb.as_f64()
-                .ok_or_else(|| "non-numeric field 'wid_base'".to_string())? as u32,
-        );
+    let wid_base = uint32_or(p, "wid_base", 0)?;
+    if u64::from(wid_base) + u64::from(workitems) > u64::from(u32::MAX) {
+        return Err(format!("wid_base + workitems exceeds {}", u32::MAX));
     }
+    let mut plan = ExecutionPlan::new(workitems)
+        .local_size(local_size)
+        .stream_depth(stream_depth as usize)
+        .burst_rns(u64::from(burst))
+        .wid_base(wid_base);
     match p.get("combining").and_then(Json::as_str) {
         None | Some("device-level") => {}
         Some("host-level") => plan = plan.combining(dwi_core::Combining::HostLevel),
         Some(other) => return Err(format!("unknown combining '{other}'")),
     }
-    if let Some(f) = p.get("freq_hz") {
-        plan = plan.freq_hz(
-            f.as_f64()
-                .ok_or_else(|| "non-numeric field 'freq_hz'".to_string())?,
-        );
+    if p.get("freq_hz").is_some() {
+        let f = num(p, "freq_hz")?;
+        if !(f.is_finite() && f > 0.0) {
+            return Err("freq_hz must be positive and finite".into());
+        }
+        plan = plan.freq_hz(f);
     }
     plan = plan.channel(burst_channel(p.get("channel"))?);
     Ok(plan)

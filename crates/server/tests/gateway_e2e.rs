@@ -197,6 +197,11 @@ fn bad_specs_get_400_and_never_kill_the_only_worker() {
             r#"{{"kernel":{{"type":"severity-exp-mix","w":{w},"lambda1":{lambda1},"lambda2":{lambda2},"quota":8,"seed":1}},"plan":{{"workitems":1}}}}"#
         )
     };
+    let plan = |plan: &str| {
+        format!(
+            r#"{{"kernel":{{"type":"truncated-normal","a":1.5,"quota":8,"seed":1}},"plan":{{{plan}}}}}"#
+        )
+    };
     let bad_mt = mt_params_json(&dwi_rng::MtParams {
         n: 0,
         ..dwi_rng::MT19937
@@ -209,6 +214,18 @@ fn bad_specs_get_400_and_never_kill_the_only_worker() {
         mix("1.5", "2", "0.5"),
         mix("0.5", "0.5", "2"),
         mix("0.5", "2", "0"),
+        plan(r#""workitems":3,"local_size":2"#),
+        plan(r#""workitems":4294967297"#),
+        plan(r#""workitems":1.5"#),
+        plan(r#""workitems":1,"local_size":1.5"#),
+        plan(r#""workitems":1,"local_size":4294967297"#),
+        plan(r#""workitems":1,"stream_depth":2.5"#),
+        plan(r#""workitems":1,"stream_depth":4294967296"#),
+        plan(r#""workitems":1,"burst_rns":4294967296"#),
+        plan(r#""workitems":1,"wid_base":0.5"#),
+        plan(r#""workitems":1,"wid_base":4294967296"#),
+        plan(r#""workitems":2,"wid_base":4294967295"#),
+        plan(r#""workitems":1,"freq_hz":0"#),
     ] {
         let r = client::post_json(gw.addr, "/v1/jobs", None, &spec).expect("post");
         assert_eq!(r.status, 400, "{spec}: {}", r.text());

@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use decoupled_workitems::core::{DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+};
 use decoupled_workitems::stats::{ks_test, Gamma, Summary};
 
 fn main() {
@@ -27,32 +29,30 @@ fn main() {
         workload.sector_variance
     );
 
-    let run = DecoupledRunner::new(&cfg, &workload).seed(2024).run();
+    let kernel = GammaListing2::for_config(&cfg, &workload, 2024);
+    let run = FunctionalDecoupled.execute(&kernel, &ExecutionPlan::for_config(&cfg));
 
     println!(
         "generated {} gamma RNs ({} per work-item)",
-        run.total_outputs(),
-        run.outputs_per_workitem
+        run.quota * run.workitems as u64,
+        run.quota
     );
     println!(
         "combined rejection overhead r = {:.4} (paper: 0.303 at v = 1.39)",
-        run.rejection_overhead()
+        run.rejection.overhead()
     );
     println!("per-work-item main-loop iterations: {:?}", run.iterations);
 
     // Validate: moments + KS test against the analytic Gamma(1/v, v).
     let mut s = Summary::new();
-    s.extend_f32(&run.host_buffer[..run.outputs_per_workitem as usize]);
+    s.extend_f32(&run.samples[0]);
     println!(
         "work-item 0 sample: mean = {:.4} (expect 1.0), var = {:.4} (expect 1.39)",
         s.mean(),
         s.variance()
     );
 
-    let sample: Vec<f64> = run.host_buffer[..20_000]
-        .iter()
-        .map(|&x| x as f64)
-        .collect();
+    let sample: Vec<f64> = run.samples[0][..20_000].iter().map(|&x| x as f64).collect();
     let dist = Gamma::from_sector_variance(1.39);
     let ks = ks_test(&sample, |x| dist.cdf(x));
     println!(

@@ -12,7 +12,9 @@
 //! the sector spans on the compute tracks overlap other work-items' burst
 //! spans — the decoupling the paper's Fig. 3 illustrates.
 
-use decoupled_workitems::core::{DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+};
 use decoupled_workitems::trace::{EventKind, ProcessKind, Recorder};
 use std::collections::BTreeMap;
 
@@ -29,10 +31,10 @@ fn main() {
     };
 
     let rec = Recorder::new();
-    let run = DecoupledRunner::new(&cfg, &workload)
-        .seed(42)
-        .trace(rec.sink())
-        .run();
+    let run = FunctionalDecoupled.execute(
+        &GammaListing2::for_config(&cfg, &workload, 42),
+        &ExecutionPlan::for_config(&cfg).trace(rec.sink()),
+    );
 
     // Per-track span/instant census, so the console mirrors the timeline.
     let events = rec.events();

@@ -3,7 +3,9 @@
 //! EXPERIMENTS.md regenerable. (Simulated time comes from cycle models, not
 //! wall clocks, so nothing here may vary between runs.)
 
-use decoupled_workitems::core::{table3, Combining, DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    table3, Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, Workload,
+};
 use decoupled_workitems::creditrisk::{MonteCarloEngine, Portfolio};
 use decoupled_workitems::energy::trace::{PowerTrace, TraceConfig};
 use decoupled_workitems::hls::sim::{run, SimConfig};
@@ -16,13 +18,12 @@ fn decoupled_runs_are_bitwise_reproducible() {
         num_sectors: 2,
         sector_variance: 1.39,
     };
-    let runner = DecoupledRunner::new(&cfg, &w)
-        .seed(123)
-        .combining(Combining::DeviceLevel);
-    let a = runner.clone().run();
-    let b = runner.run();
-    // Thread interleaving must not leak into results.
-    assert_eq!(a.host_buffer, b.host_buffer);
+    let kernel = GammaListing2::for_config(&cfg, &w, 123);
+    let plan = ExecutionPlan::for_config(&cfg);
+    let a = FunctionalDecoupled.execute(&kernel, &plan);
+    let b = FunctionalDecoupled.execute(&kernel, &plan);
+    // Scheduling must not leak into results.
+    assert_eq!(a.samples, b.samples);
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(a.rejection, b.rejection);
 }

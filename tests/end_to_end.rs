@@ -2,15 +2,25 @@
 //! reference kernels, distribution validation, and the host buffer
 //! combining strategies.
 
-use decoupled_workitems::core::{Combining, DecoupledRun, DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    Backend, BackendDetail, Combining, ExecutionPlan, FunctionalDecoupled, GammaListing2,
+    PaperConfig, RunReport, Workload,
+};
 use decoupled_workitems::rng::GammaKernel;
 use decoupled_workitems::stats::{ks_test, Gamma, Summary};
 
-fn run_decoupled(cfg: &PaperConfig, w: &Workload, seed: u64, combining: Combining) -> DecoupledRun {
-    DecoupledRunner::new(cfg, w)
-        .seed(seed)
-        .combining(combining)
-        .run()
+fn run_decoupled(cfg: &PaperConfig, w: &Workload, seed: u64, combining: Combining) -> RunReport {
+    FunctionalDecoupled.execute(
+        &GammaListing2::for_config(cfg, w, seed),
+        &ExecutionPlan::for_config(cfg).combining(combining),
+    )
+}
+
+fn host_buffer(run: &RunReport) -> &[f32] {
+    let BackendDetail::Decoupled { host_buffer, .. } = &run.detail else {
+        unreachable!("FunctionalDecoupled reports Decoupled detail")
+    };
+    host_buffer
 }
 
 fn workload() -> Workload {
@@ -29,13 +39,11 @@ fn every_config_matches_its_reference_kernels() {
         let w = workload();
         let run = run_decoupled(&cfg, &w, 99, Combining::DeviceLevel);
         let kcfg = cfg.kernel_config(&w, 99);
-        let region = run.host_buffer.len() / cfg.fpga_workitems as usize;
         for wid in 0..cfg.fpga_workitems {
             let mut reference = Vec::new();
             GammaKernel::new(&kcfg, wid).run_all(&mut reference);
-            let got =
-                &run.host_buffer[wid as usize * region..wid as usize * region + reference.len()];
-            assert_eq!(got, &reference[..], "{} work-item {wid}", cfg.name());
+            let got = &run.samples[wid as usize];
+            assert_eq!(got, &reference, "{} work-item {wid}", cfg.name());
         }
     }
 }
@@ -46,7 +54,7 @@ fn combining_strategies_agree_for_all_configs() {
         let w = workload();
         let dev = run_decoupled(&cfg, &w, 5, Combining::DeviceLevel);
         let host = run_decoupled(&cfg, &w, 5, Combining::HostLevel);
-        assert_eq!(dev.host_buffer, host.host_buffer, "{}", cfg.name());
+        assert_eq!(host_buffer(&dev), host_buffer(&host), "{}", cfg.name());
     }
 }
 
@@ -62,16 +70,7 @@ fn distributions_validate_across_variances() {
             sector_variance: v,
         };
         let run = run_decoupled(&cfg, &w, 1234, Combining::DeviceLevel);
-        let valid = run.outputs_per_workitem as usize;
-        let region = run.host_buffer.len() / cfg.fpga_workitems as usize;
-        let mut sample = Vec::new();
-        for wid in 0..cfg.fpga_workitems as usize {
-            sample.extend(
-                run.host_buffer[wid * region..wid * region + valid]
-                    .iter()
-                    .map(|&x| x as f64),
-            );
-        }
+        let mut sample: Vec<f64> = run.samples.concat().iter().map(|&x| x as f64).collect();
         let dist = Gamma::from_sector_variance(v as f64);
         sample.truncate(40_000);
         let ks = ks_test(&sample, |x| dist.cdf(x));
@@ -94,10 +93,10 @@ fn mt521_and_mt19937_configs_differ_only_statistically() {
     let w = workload();
     let a = run_decoupled(&PaperConfig::config1(), &w, 7, Combining::DeviceLevel);
     let b = run_decoupled(&PaperConfig::config2(), &w, 7, Combining::DeviceLevel);
-    assert_ne!(a.host_buffer, b.host_buffer);
+    assert_ne!(a.samples, b.samples);
     let (mut sa, mut sb) = (Summary::new(), Summary::new());
-    sa.extend_f32(&a.host_buffer[..a.outputs_per_workitem as usize]);
-    sb.extend_f32(&b.host_buffer[..b.outputs_per_workitem as usize]);
+    sa.extend_f32(&a.samples[0]);
+    sb.extend_f32(&b.samples[0]);
     assert!((sa.mean() - sb.mean()).abs() < 0.05);
     assert!((sa.variance() - sb.variance()).abs() < 0.2);
 }
@@ -108,9 +107,9 @@ fn rejection_overheads_separate_the_config_families() {
     let bray = run_decoupled(&PaperConfig::config1(), &w, 3, Combining::DeviceLevel);
     let icdf = run_decoupled(&PaperConfig::config3(), &w, 3, Combining::DeviceLevel);
     assert!(
-        bray.rejection_overhead() > 3.0 * icdf.rejection_overhead(),
+        bray.rejection.overhead() > 3.0 * icdf.rejection.overhead(),
         "M-Bray {} vs ICDF {}",
-        bray.rejection_overhead(),
-        icdf.rejection_overhead()
+        bray.rejection.overhead(),
+        icdf.rejection.overhead()
     );
 }

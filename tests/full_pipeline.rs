@@ -3,28 +3,23 @@
 //! back, and CreditRisk+ turns it into a portfolio loss distribution that
 //! matches the analytic oracle.
 
-use decoupled_workitems::core::{Combining, DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, RunReport, Workload,
+};
 use decoupled_workitems::creditrisk::{
     loss_distribution, loss_mean, losses_from_sector_buffer, Portfolio,
 };
 
-/// Reshape the FPGA host buffer (per-work-item regions, each holding
-/// `sectors` back-to-back per-sector streams of `quota` draws) into a
-/// scenario-major matrix of `n_sectors` columns.
-fn scenario_major(
-    run: &decoupled_workitems::core::DecoupledRun,
-    workitems: u32,
-    sectors: usize,
-    scenarios: usize,
-) -> Vec<f32> {
-    let region = run.host_buffer.len() / workitems as usize;
-    let quota = run.outputs_per_workitem as usize / sectors;
+/// Reshape the FPGA output (per work-item, `sectors` back-to-back
+/// per-sector streams of `quota` draws) into a scenario-major matrix of
+/// `n_sectors` columns.
+fn scenario_major(run: &RunReport, sectors: usize, scenarios: usize) -> Vec<f32> {
+    let quota = run.quota as usize / sectors;
     // Sector pools: concatenate every work-item's slice of sector k.
     let mut pools: Vec<Vec<f32>> = vec![Vec::new(); sectors];
-    for wid in 0..workitems as usize {
-        let base = wid * region;
+    for wi in &run.samples {
         for (k, pool) in pools.iter_mut().enumerate() {
-            pool.extend_from_slice(&run.host_buffer[base + k * quota..base + (k + 1) * quota]);
+            pool.extend_from_slice(&wi[k * quota..(k + 1) * quota]);
         }
     }
     let mut out = Vec::with_capacity(scenarios * sectors);
@@ -46,14 +41,14 @@ fn fpga_generated_sectors_drive_creditrisk_to_the_analytic_answer() {
         sector_variance: 1.39,
     };
     // (1) Accelerator: generate all sector draws with decoupled work-items.
-    let run = DecoupledRunner::new(&cfg, &workload)
-        .seed(31_337)
-        .combining(Combining::DeviceLevel)
-        .run();
+    let run = FunctionalDecoupled.execute(
+        &GammaListing2::for_config(&cfg, &workload, 31_337),
+        &ExecutionPlan::for_config(&cfg),
+    );
 
     // (2) Host: reshape the read-back buffer into scenarios × sectors.
     let scenarios = 24_000usize;
-    let buffer = scenario_major(&run, cfg.fpga_workitems, sectors, scenarios);
+    let buffer = scenario_major(&run, sectors, scenarios);
 
     // (3) CreditRisk+: portfolio losses from the accelerator's draws.
     let portfolio = Portfolio::synthetic(150, sectors, 1.39);
@@ -92,11 +87,11 @@ fn all_configs_feed_the_same_financial_result() {
             num_sectors: sectors as u32,
             sector_variance: 1.39,
         };
-        let run = DecoupledRunner::new(&cfg, &workload)
-            .seed(99)
-            .combining(Combining::DeviceLevel)
-            .run();
-        let buffer = scenario_major(&run, cfg.fpga_workitems, sectors, scenarios);
+        let run = FunctionalDecoupled.execute(
+            &GammaListing2::for_config(&cfg, &workload, 99),
+            &ExecutionPlan::for_config(&cfg),
+        );
+        let buffer = scenario_major(&run, sectors, scenarios);
         let losses = losses_from_sector_buffer(&portfolio, &buffer, scenarios as u64, 3);
         let mean = losses.iter().map(|&l| l as f64).sum::<f64>() / scenarios as f64;
         assert!(

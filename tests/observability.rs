@@ -5,11 +5,14 @@
 //! paper's Fig. 3 — and a Prometheus snapshot that round-trips the
 //! engine's own counters.
 
-use decoupled_workitems::core::{DecoupledRun, DecoupledRunner, PaperConfig, Workload};
+use decoupled_workitems::core::{
+    Backend, BackendDetail, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig,
+    RunReport, Workload,
+};
 use decoupled_workitems::trace::chrome::{parse_chrome_trace, ChromeEvent};
 use decoupled_workitems::trace::{parse_prometheus, ProcessKind, Recorder, TrackId};
 
-fn traced_config1_run() -> (Recorder, DecoupledRun, PaperConfig) {
+fn traced_config1_run() -> (Recorder, RunReport, PaperConfig) {
     let cfg = PaperConfig::config1();
     let workload = Workload {
         num_scenarios: 12_288,
@@ -17,10 +20,10 @@ fn traced_config1_run() -> (Recorder, DecoupledRun, PaperConfig) {
         sector_variance: 1.39,
     };
     let rec = Recorder::new();
-    let run = DecoupledRunner::new(&cfg, &workload)
-        .seed(7)
-        .trace(rec.sink())
-        .run();
+    let run = FunctionalDecoupled.execute(
+        &GammaListing2::for_config(&cfg, &workload, 7),
+        &ExecutionPlan::for_config(&cfg).trace(rec.sink()),
+    );
     (rec, run, cfg)
 }
 
@@ -103,16 +106,20 @@ fn prometheus_round_trips_engine_counters() {
             .map(|(_, v)| *v)
             .unwrap_or_else(|| panic!("missing sample {k}"))
     };
+    let BackendDetail::Decoupled { transfers, .. } = &run.detail else {
+        unreachable!("FunctionalDecoupled reports Decoupled detail")
+    };
 
-    for wid in 0..cfg.fpga_workitems as usize {
+    assert_eq!(transfers.len(), cfg.fpga_workitems as usize);
+    for (wid, (iters, t)) in run.iterations.iter().zip(transfers).enumerate() {
         assert_eq!(
             get(&format!("dwi_workitem_iterations_total{{wid=\"{wid}\"}}")),
-            run.iterations[wid] as f64,
+            *iters as f64,
             "iterations counter for wid {wid}"
         );
         assert_eq!(
             get(&format!("dwi_transfer_bursts_total{{wid=\"{wid}\"}}")),
-            run.transfers[wid].bursts as f64,
+            t.bursts as f64,
             "burst counter for wid {wid}"
         );
     }
