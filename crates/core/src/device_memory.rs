@@ -29,11 +29,6 @@ impl DeviceMemory {
         }
     }
 
-    /// Total capacity in 512-bit words.
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Capacity in single-precision values.
     pub fn len_f32(&self) -> usize {
         self.words.len() * 16

@@ -22,7 +22,12 @@
 //! * [`model`] — Eq. 1 and the full FPGA runtime model
 //!   (max of compute bound and transfer bound),
 //! * [`experiment`] — the cross-platform driver that regenerates Table III
-//!   and the derived speedups.
+//!   and the derived speedups,
+//! * [`graph`] and [`stages`] — pipe-connected multi-kernel dataflow and
+//!   the bundled CreditRisk+ stages,
+//! * [`validation`] — the Fig. 6 distribution checks as a library,
+//! * [`serial`] and [`digest`] — the plan/report byte codec and the FNV-1a
+//!   digests behind the result-cache keys.
 //!
 //! The decoupling claim, in one sentence: a rejection chain with per-attempt
 //! rejection probability `q` costs a *lockstep* architecture
@@ -38,7 +43,6 @@ pub mod device_memory;
 pub mod digest;
 pub mod experiment;
 pub mod graph;
-pub mod icdf_fixed;
 pub mod kernel;
 pub mod model;
 pub mod serial;

@@ -18,10 +18,11 @@
 //! * [`panjer`] — the analytic loss distribution via truncated power-series
 //!   exp/ln (the modern formulation of the CreditRisk+ / Panjer recursion),
 //!   used as the correctness oracle for the Monte-Carlo path,
+//! * [`moments`] — closed-form loss mean and variance,
+//! * [`from_buffer`] — losses driven by an accelerator-generated sector
+//!   buffer,
 //! * [`risk`] — Value-at-Risk and Expected Shortfall.
 
-pub mod allocation;
-pub mod bands;
 pub mod from_buffer;
 pub mod moments;
 pub mod montecarlo;
@@ -29,7 +30,6 @@ pub mod panjer;
 pub mod portfolio;
 pub mod risk;
 
-pub use bands::{band_portfolio, RawLoan};
 pub use from_buffer::losses_from_sector_buffer;
 pub use moments::{loss_mean, loss_variance};
 pub use montecarlo::{MonteCarloEngine, SimulationResult};

@@ -4,7 +4,6 @@
 //! provides faithful Rust equivalents so the decoupled-work-item design can
 //! be *executed* and *timed* without an FPGA:
 //!
-//! * [`fixed`] — an `ap_fixed`-like parameterized fixed-point type,
 //! * [`wide`] — an `ap_uint<512>`-like packing word ([`wide::Wide512`]) for
 //!   the full-width memory interface (16 single-precision floats per word,
 //!   Section III-D),
@@ -16,11 +15,12 @@
 //!   (calibrated to the paper's measured 3.58 / 3.94 GB/s, Fig. 7),
 //! * [`sim`] — a cycle-level discrete-event dataflow engine used to observe
 //!   compute/transfer interleaving (Fig. 3) and arbitration effects,
-//! * [`resources`] — the additive slice/DSP/BRAM model behind Table II.
+//! * [`dataflow`] — general `DATAFLOW` graphs of named processes and FIFOs
+//!   on the same cycle-level engine,
+//! * [`resources`] — the additive slice/DSP/BRAM model behind Table II,
+//! * [`report`] — Vivado-HLS-style synthesis reports.
 
-pub mod axi;
 pub mod dataflow;
-pub mod fixed;
 pub mod memory;
 pub mod pipeline;
 pub mod report;
@@ -29,7 +29,6 @@ pub mod sim;
 pub mod stream;
 pub mod wide;
 
-pub use fixed::Fixed;
 pub use memory::BurstChannel;
 pub use pipeline::{DelayedCounter, PipelineModel};
 pub use resources::{ResourceCost, ResourceReport};

@@ -21,8 +21,6 @@
 //! bandwidth, matching the paper's remark that "further customizations of
 //! the memory controller inside the tool would improve the performance".
 
-/// Bytes in one 512-bit beat.
-pub const BYTES_PER_BEAT: u64 = 64;
 /// Single-precision RNs per beat.
 pub const RNS_PER_BEAT: u64 = 16;
 

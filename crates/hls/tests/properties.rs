@@ -1,57 +1,11 @@
 //! Randomized case-sweep tests for the HLS substrate (deterministic
 //! `dwi-testkit` generator; seeds are fixed, failures reproduce exactly).
 
-use dwi_hls::fixed::Fixed;
 use dwi_hls::memory::BurstChannel;
 use dwi_hls::pipeline::{DelayedCounter, PipelineModel};
 use dwi_hls::stream::Stream;
 use dwi_hls::wide::{unpack_words, Packer, Wide512};
 use dwi_testkit::cases;
-
-type Q16 = Fixed<32, 16>;
-
-#[test]
-fn fixed_round_trip_within_epsilon() {
-    cases(256, |r| {
-        let x = r.f64_range(-30000.0, 30000.0);
-        let v = Q16::from_f64(x);
-        assert!((v.to_f64() - x).abs() <= Q16::epsilon() / 2.0 + 1e-12);
-    });
-}
-
-#[test]
-fn fixed_ordering_preserved() {
-    cases(256, |r| {
-        let a = r.f64_range(-30000.0, 30000.0);
-        let b = r.f64_range(-30000.0, 30000.0);
-        let (fa, fb) = (Q16::from_f64(a), Q16::from_f64(b));
-        if a + Q16::epsilon() < b {
-            assert!(fa < fb);
-        }
-    });
-}
-
-#[test]
-fn fixed_add_matches_f64_when_in_range() {
-    cases(256, |r| {
-        let a = r.f64_range(-10000.0, 10000.0);
-        let b = r.f64_range(-10000.0, 10000.0);
-        let s = Q16::from_f64(a).add(Q16::from_f64(b)).to_f64();
-        assert!((s - (a + b)).abs() <= 2.0 * Q16::epsilon());
-    });
-}
-
-#[test]
-fn fixed_mul_error_bounded() {
-    cases(256, |r| {
-        let a = r.f64_range(-100.0, 100.0);
-        let b = r.f64_range(-100.0, 100.0);
-        let p = Q16::from_f64(a).mul(Q16::from_f64(b)).to_f64();
-        // Truncating multiply: error bounded by input quantization + 1 LSB.
-        let bound = Q16::epsilon() * (a.abs() + b.abs() + 2.0);
-        assert!((p - a * b).abs() <= bound, "{p} vs {}", a * b);
-    });
-}
 
 #[test]
 fn packer_round_trips_any_length() {

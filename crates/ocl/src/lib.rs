@@ -9,23 +9,25 @@
 //!
 //! * [`simt`] — a lockstep partition executor over per-lane attempt traces,
 //!   plus the closed-form divergence factor it converges to,
+//! * [`masked`] — the same lockstep execution at instruction-block
+//!   granularity,
 //! * [`profiles`] — calibrated device profiles (dual Xeon E5-2670 v3,
 //!   Tesla K80, Xeon Phi 7120P) with per-component iteration costs and the
 //!   kernel runtime model that regenerates Table III's CPU/GPU/PHI columns,
 //! * [`ndrange`] — `localSize` / `globalSize` scheduling effects
 //!   (underfilled partitions, latency hiding, work-group overhead) behind
 //!   the Fig. 5 sweeps,
+//! * [`host`] — an OpenCL-style host API (buffers, command queues, events)
+//!   over simulated time,
 //! * [`pcie`] — the host↔device link model.
 //!
 //! The *algorithm* executed by every platform lives in `dwi-rng`; this crate
 //! deliberately only models *architecture cost*, so the comparison isolates
 //! exactly what the paper isolates.
 
-pub mod coalescing;
 pub mod host;
 pub mod masked;
 pub mod ndrange;
-pub mod occupancy;
 pub mod pcie;
 pub mod profiles;
 pub mod simt;

@@ -351,7 +351,7 @@ fn derive_seed(base: u64, wid: u32, stream: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mt::MT521;
+    use crate::mt::{MT19937, MT521};
 
     fn cfg(normal: NormalMethod) -> KernelConfig {
         KernelConfig {
@@ -375,24 +375,29 @@ mod tests {
 
     #[test]
     fn combined_rejection_rate_mbray_config() {
-        // Section IV-E: ~30.3% at v = 1.39 for the Marsaglia-Bray chain.
-        let mut k = GammaKernel::new(
-            &KernelConfig {
-                normal: NormalMethod::MarsagliaBray,
-                limit_main: 50_000,
-                ..KernelConfig::default()
-            },
-            0,
-        );
-        let mut out = Vec::new();
-        k.run_all(&mut out);
-        // The paper's r is extra iterations per accepted output (the (1+r)
-        // factor of Eq. 1): 1/(π/4 · gamma-acceptance) − 1 ≈ 0.303.
-        let r = k.combined_stats().overhead();
-        assert!(
-            (0.27..0.34).contains(&r),
-            "combined M-Bray overhead {r} outside the paper's band"
-        );
+        // Section IV-E: 27.8 %, 30.3 % and 33.7 % at v = 0.1, 1.39 and 100
+        // for the Marsaglia-Bray chain.
+        for (v, paper) in [(0.1f32, 0.278), (1.39, 0.303), (100.0, 0.337)] {
+            let mut k = GammaKernel::new(
+                &KernelConfig {
+                    normal: NormalMethod::MarsagliaBray,
+                    sector_variance: v,
+                    limit_main: 100_000,
+                    limit_sec: 1,
+                    ..KernelConfig::default()
+                },
+                0,
+            );
+            let mut out = Vec::new();
+            k.run_all(&mut out);
+            // The paper's r is extra iterations per accepted output (the
+            // (1+r) factor of Eq. 1): 1/(π/4 · gamma-acceptance) − 1.
+            let r = k.combined_stats().overhead();
+            assert!(
+                (r - paper).abs() < 0.01,
+                "v={v}: combined M-Bray overhead {r} vs the paper's {paper}"
+            );
+        }
     }
 
     #[test]
@@ -425,31 +430,36 @@ mod tests {
 
     #[test]
     fn outputs_are_gamma_distributed() {
-        for normal in [
-            NormalMethod::MarsagliaBray,
-            NormalMethod::IcdfFpga,
-            NormalMethod::IcdfCuda,
-        ] {
-            let mut k = GammaKernel::new(
-                &KernelConfig {
-                    normal,
-                    limit_main: 20_000,
-                    limit_sec: 1,
-                    ..KernelConfig::default()
-                },
-                0,
-            );
-            let mut out = Vec::new();
-            k.run_all(&mut out);
-            let xs: Vec<f64> = out.iter().map(|&x| x as f64).collect();
-            let dist = dwi_stats::Gamma::from_sector_variance(1.39);
-            let r = dwi_stats::ks_test(&xs, |x| dist.cdf(x));
-            assert!(
-                r.accepts(1e-4),
-                "{normal:?}: KS p = {} D = {}",
-                r.p_value,
-                r.statistic
-            );
+        // MT19937 (Configs 1/3) and MT521 (Configs 2/4) under every transform.
+        for mt in [MT19937, MT521] {
+            for normal in [
+                NormalMethod::MarsagliaBray,
+                NormalMethod::IcdfFpga,
+                NormalMethod::IcdfCuda,
+            ] {
+                let mut k = GammaKernel::new(
+                    &KernelConfig {
+                        normal,
+                        mt,
+                        limit_main: 20_000,
+                        limit_sec: 1,
+                        ..KernelConfig::default()
+                    },
+                    0,
+                );
+                let mut out = Vec::new();
+                k.run_all(&mut out);
+                let xs: Vec<f64> = out.iter().map(|&x| x as f64).collect();
+                let dist = dwi_stats::Gamma::from_sector_variance(1.39);
+                let r = dwi_stats::ks_test(&xs, |x| dist.cdf(x));
+                assert!(
+                    r.accepts(1e-4),
+                    "{normal:?} on MT{}: KS p = {} D = {}",
+                    mt.exponent,
+                    r.p_value,
+                    r.statistic
+                );
+            }
         }
     }
 

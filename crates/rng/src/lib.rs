@@ -10,7 +10,7 @@
 //!   parameters with the classic **MT19937** set and the **MT521** set used by
 //!   the paper's Config2/Config4, in both the textbook block form and the
 //!   paper's streaming *adapted* form with an external enable flag
-//!   (Listing 3),
+//!   (Listing 3), plus polynomial jump-ahead,
 //! * [`uniform`] — the `uint2float` conversions used by the kernels,
 //! * [`transforms`] — uniform→normal transforms: Marsaglia-Bray polar
 //!   rejection (ref \[17\]), the bit-level *FPGA-style* ICDF
@@ -26,14 +26,11 @@
 //!   rates of 30.3 % for the Marsaglia-Bray configs and 7.4 % for the ICDF
 //!   configs at sector variance v = 1.39).
 
-pub mod acceptance;
-pub mod battery;
 pub mod gamma;
 pub mod gf2;
 pub mod kernel;
 pub mod mt;
 pub mod rejection;
-pub mod streams;
 pub mod transforms;
 pub mod uniform;
 
@@ -41,6 +38,5 @@ pub use gamma::{correct_alpha_le_one, MarsagliaTsang};
 pub use kernel::{GammaKernel, IterationTrace, KernelConfig, NormalMethod};
 pub use mt::{AdaptedMt, BlockMt, MtParams, MT19937, MT521};
 pub use rejection::RejectionStats;
-pub use streams::{StreamFamily, StreamStrategy};
 pub use transforms::{IcdfCuda, IcdfFpga, MarsagliaBray, NormalTransform};
 pub use uniform::{uint2float, uint2float_signed};

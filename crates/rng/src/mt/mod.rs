@@ -14,12 +14,13 @@
 //! * [`dynamic_creation`] — a real Dynamic Creation search (paper ref \[18\]):
 //!   candidate twist coefficients are certified by recovering the
 //!   characteristic polynomial with Berlekamp-Massey and testing
-//!   irreducibility (primitivity, since 2^521−1 is a Mersenne prime).
+//!   irreducibility (primitivity, since 2^521−1 is a Mersenne prime),
+//! * [`jump`] — polynomial jump-ahead over the canonical state
+//!   ([`CanonicalState`]).
 
 pub mod adapted;
 pub mod block;
 pub mod dynamic_creation;
-pub mod equidistribution;
 pub mod jump;
 pub mod params;
 

@@ -5,12 +5,10 @@
 //! the whole point of the paper's decoupling — on fixed architectures the
 //! invalid lanes idle, on the FPGA each work-item simply retries on its own).
 
-pub mod box_muller;
 pub mod icdf_cuda;
 pub mod icdf_fpga;
 pub mod marsaglia_bray;
 
-pub use box_muller::BoxMuller;
 pub use icdf_cuda::IcdfCuda;
 pub use icdf_fpga::IcdfFpga;
 pub use marsaglia_bray::MarsagliaBray;

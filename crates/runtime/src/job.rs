@@ -236,15 +236,6 @@ impl JobOutput {
         }
     }
 
-    /// The merged graph report; panics unless this is a graph output.
-    pub fn graph_report(&self) -> &GraphReport {
-        match self {
-            JobOutput::Graph(g) => g,
-            JobOutput::Kernel(_) => panic!("single-node jobs deliver a RunReport"),
-            JobOutput::Task(_) => panic!("task job has no GraphReport"),
-        }
-    }
-
     /// The merged graph report by value; panics unless this is a graph
     /// output.
     pub fn into_graph_report(self) -> Arc<GraphReport> {

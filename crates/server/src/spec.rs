@@ -278,12 +278,18 @@ fn burst_channel(v: Option<&Json>) -> Result<BurstChannel, String> {
         None | Some(Json::Null) => Ok(BurstChannel::config12()),
         Some(Json::Str(s)) if s == "config12" => Ok(BurstChannel::config12()),
         Some(Json::Str(s)) if s == "config34" => Ok(BurstChannel::config34()),
-        Some(obj @ Json::Obj(_)) => Ok(BurstChannel {
-            freq_hz: num(obj, "freq_hz")?,
-            cycles_per_beat: uint(obj, "cycles_per_beat")?,
-            arb_cycles: uint(obj, "arb_cycles")?,
-            pack_cycles_per_rn: uint(obj, "pack_cycles_per_rn")?,
-        }),
+        Some(obj @ Json::Obj(_)) => {
+            let freq_hz = num(obj, "freq_hz")?;
+            if !(freq_hz.is_finite() && freq_hz > 0.0) {
+                return Err("channel freq_hz must be positive and finite".into());
+            }
+            Ok(BurstChannel {
+                freq_hz,
+                cycles_per_beat: u64::from(positive_u32(obj, "cycles_per_beat")?),
+                arb_cycles: u64::from(uint32(obj, "arb_cycles")?),
+                pack_cycles_per_rn: u64::from(uint32(obj, "pack_cycles_per_rn")?),
+            })
+        }
         _ => Err("field 'channel' must be \"config12\", \"config34\", or an object".into()),
     }
 }
@@ -291,6 +297,14 @@ fn burst_channel(v: Option<&Json>) -> Result<BurstChannel, String> {
 /// A non-negative integer field that fits in a `u32`.
 fn uint32(obj: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(uint(obj, key)?).map_err(|_| format!("field '{key}' exceeds {}", u32::MAX))
+}
+
+/// [`uint32`] that must also be at least 1.
+fn positive_u32(obj: &Json, key: &str) -> Result<u32, String> {
+    match uint32(obj, key)? {
+        0 => Err(format!("field '{key}' must be at least 1")),
+        v => Ok(v),
+    }
 }
 
 /// [`uint32`], or `default` when the field is absent.
@@ -379,9 +393,9 @@ pub fn parse_job(body: &str) -> Result<ParsedJob, String> {
     if let Some(t) = root.get("transfers") {
         return Ok(ParsedJob::Transfers {
             channel: burst_channel(t.get("channel"))?,
-            total: uint(t, "total")?,
-            burst: uint(t, "burst")?,
-            workitems: uint(t, "workitems")?,
+            total: u64::from(uint32(t, "total")?),
+            burst: u64::from(positive_u32(t, "burst")?),
+            workitems: u64::from(positive_u32(t, "workitems")?),
         });
     }
 
@@ -407,10 +421,7 @@ pub fn parse_job(body: &str) -> Result<ParsedJob, String> {
     let seed = num_or(&root, "seed", 0.0)? as u64;
     let shards = match root.get("shards") {
         None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or_else(|| "non-numeric field 'shards'".to_string())? as u32,
-        ),
+        Some(_) => Some(positive_u32(&root, "shards")?),
     };
     let priority = match root.get("priority").and_then(Json::as_str) {
         None | Some("normal") => Priority::Normal,
@@ -420,9 +431,8 @@ pub fn parse_job(body: &str) -> Result<ParsedJob, String> {
     };
     let deadline = match root.get("deadline_ms") {
         None | Some(Json::Null) => None,
-        Some(v) => Some(Duration::from_millis(
-            v.as_f64()
-                .ok_or_else(|| "non-numeric field 'deadline_ms'".to_string())? as u64,
+        Some(_) => Some(Duration::from_millis(
+            positive_u32(&root, "deadline_ms")?.into(),
         )),
     };
 
@@ -539,6 +549,19 @@ mod tests {
                 "plan": {"workitems": 0}}"#,
             r#"{"kernel": {"type": "truncated-normal", "a": 1.5, "quota": 8, "seed": 1},
                 "plan": {"workitems": 1, "burst_rns": 7}}"#,
+            r#"{"kernel": {"type": "truncated-normal", "a": 1.5, "quota": 8, "seed": 1},
+                "plan": {"workitems": 1}, "shards": 1.5}"#,
+            r#"{"kernel": {"type": "truncated-normal", "a": 1.5, "quota": 8, "seed": 1},
+                "plan": {"workitems": 1}, "deadline_ms": 1e300}"#,
+            r#"{"transfers": {"total": 100, "burst": 256, "workitems": 0}}"#,
+            r#"{"transfers": {"total": 1e300, "burst": 256, "workitems": 1}}"#,
+            r#"{"transfers": {"total": 100, "burst": 1e300, "workitems": 1}}"#,
+            r#"{"transfers": {"total": 100, "burst": 256, "workitems": 1,
+                "channel": {"freq_hz": 0, "cycles_per_beat": 3, "arb_cycles": 9,
+                            "pack_cycles_per_rn": 1}}}"#,
+            r#"{"transfers": {"total": 100, "burst": 256, "workitems": 1,
+                "channel": {"freq_hz": 2e8, "cycles_per_beat": 0, "arb_cycles": 9,
+                            "pack_cycles_per_rn": 1}}}"#,
         ] {
             assert!(parse_job(bad).is_err(), "accepted: {bad}");
         }

@@ -236,3 +236,50 @@ fn bad_specs_get_400_and_never_kill_the_only_worker() {
     assert!(u64_field(&result, "accepted") >= 64);
     gw.stop();
 }
+
+/// `spec` must be refused with `400`, and the gateway's lone worker must
+/// still complete the next valid job.
+fn refused_and_worker_survives(gw: &RunningGateway, spec: &str) {
+    let r = client::post_json(gw.addr, "/v1/jobs", None, spec).expect("post");
+    assert_eq!(r.status, 400, "{spec}: {}", r.text());
+    let result = submit_and_wait(
+        gw,
+        r#"{"transfers":{"channel":"config12","total":4096,"burst":256,"workitems":2}}"#,
+    );
+    assert!(result.get("runtime_s").is_some());
+}
+
+fn truncated_normal_with(extra: &str) -> String {
+    format!(
+        r#"{{"kernel":{{"type":"truncated-normal","a":1.5,"quota":8,"seed":1}},"plan":{{"workitems":2}},{extra}}}"#
+    )
+}
+
+#[test]
+fn shard_counts_below_one_get_400() {
+    let gw = start_gateway(1);
+    for shards in ["0", "-3"] {
+        refused_and_worker_survives(
+            &gw,
+            &truncated_normal_with(&format!(r#""shards":{shards}"#)),
+        );
+    }
+    gw.stop();
+}
+
+#[test]
+fn negative_deadline_gets_400() {
+    let gw = start_gateway(1);
+    refused_and_worker_survives(&gw, &truncated_normal_with(r#""deadline_ms":-1"#));
+    gw.stop();
+}
+
+#[test]
+fn zero_burst_transfers_get_400() {
+    let gw = start_gateway(1);
+    refused_and_worker_survives(
+        &gw,
+        r#"{"transfers":{"total":100,"burst":0,"workitems":1}}"#,
+    );
+    gw.stop();
+}

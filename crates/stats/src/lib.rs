@@ -7,15 +7,16 @@
 //!   incomplete gamma) implemented from scratch (the Rust standard library
 //!   does not expose them),
 //! * normal and gamma distributions (pdf / cdf / quantile),
-//! * descriptive statistics, histograms and empirical CDFs,
-//! * goodness-of-fit tests (Kolmogorov-Smirnov, chi-square).
+//! * descriptive statistics, histograms, empirical CDFs and P² streaming
+//!   quantiles,
+//! * goodness-of-fit tests (Kolmogorov-Smirnov, Anderson-Darling,
+//!   chi-square).
 //!
 //! The paper validates its FPGA-generated gamma sequences against Matlab's
 //! `gamrnd` (Fig. 6); this crate provides the trusted reference distribution
 //! and the tests used for that validation in the reproduction.
 
 pub mod anderson_darling;
-pub mod autocorr;
 pub mod chi2;
 pub mod ecdf;
 pub mod gamma_dist;
@@ -27,7 +28,6 @@ pub mod special;
 pub mod summary;
 
 pub use anderson_darling::{ad_test, AdResult};
-pub use autocorr::{autocorrelation, ljung_box};
 pub use chi2::{chi_square_cdf, chi_square_gof, Chi2Result};
 pub use ecdf::Ecdf;
 pub use gamma_dist::Gamma;

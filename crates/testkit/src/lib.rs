@@ -93,11 +93,6 @@ impl Rng {
     pub fn vec_bool(&mut self, len: usize) -> Vec<bool> {
         (0..len).map(|_| self.bool()).collect()
     }
-
-    /// A vector of `len` uniform `usize`s in `[lo, hi)`.
-    pub fn vec_usize(&mut self, len: usize, lo: usize, hi: usize) -> Vec<usize> {
-        (0..len).map(|_| self.usize_range(lo, hi)).collect()
-    }
 }
 
 /// Run `f` once per case with a per-case seeded [`Rng`] — the shape the

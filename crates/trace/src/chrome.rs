@@ -4,7 +4,7 @@
 //! `chrome://tracing`: one `pid` per session, one `tid` per dataflow
 //! process (compute above its transfer partner, see
 //! [`TrackId::tid`](crate::TrackId::tid)), `ph:"X"` complete events for
-//! spans, `ph:"i"` instants, `ph:"C"` counters, and `ph:"M"` metadata
+//! spans, `ph:"i"` instants, and `ph:"M"` metadata
 //! naming every track. Timestamps are microseconds (fractional — the
 //! recorder keeps nanosecond resolution).
 
@@ -87,12 +87,6 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
                     "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"name\":{name},\"ts\":{ts_us},\"s\":\"t\"}}"
                 );
             }
-            EventKind::Counter { value } => {
-                let _ = write!(
-                    line,
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"name\":{name},\"ts\":{ts_us},\"args\":{{\"value\":{value}}}}}"
-                );
-            }
         }
         push(&mut out, &line);
     }
@@ -103,7 +97,7 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
 /// One event parsed back from a Chrome trace document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChromeEvent {
-    /// The `ph` phase tag (`"X"`, `"i"`, `"C"`, `"M"`, …).
+    /// The `ph` phase tag (`"X"`, `"i"`, `"M"`, …).
     pub ph: String,
     /// Thread (track) id.
     pub tid: u64,

@@ -93,11 +93,6 @@ pub enum EventKind {
     },
     /// A zero-duration marker.
     Instant,
-    /// A sampled counter value (renders as a counter track).
-    Counter {
-        /// The sampled value.
-        value: f64,
-    },
 }
 
 /// One recorded event.
@@ -105,11 +100,11 @@ pub enum EventKind {
 pub struct TraceEvent {
     /// The track the event belongs to.
     pub track: TrackId,
-    /// Event name (span / marker / counter series name).
+    /// Event name (span or marker name).
     pub name: Cow<'static, str>,
     /// Start timestamp, nanoseconds since the recorder's epoch.
     pub ts_ns: u64,
-    /// Span, instant, or counter payload.
+    /// Span or instant payload.
     pub kind: EventKind,
 }
 

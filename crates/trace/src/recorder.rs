@@ -265,19 +265,6 @@ impl Track {
         }
     }
 
-    /// Sample a counter series value at now (renders as a counter track).
-    #[inline]
-    pub fn counter_sample(&self, name: impl Into<Cow<'static, str>>, value: f64) {
-        if let Some(s) = &self.shared {
-            self.buf.borrow_mut().push(TraceEvent {
-                track: self.id,
-                name: name.into(),
-                ts_ns: s.now_ns(),
-                kind: EventKind::Counter { value },
-            });
-        }
-    }
-
     /// A metrics counter handle from the same recorder (disabled if the
     /// track is).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {

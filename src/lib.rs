@@ -14,8 +14,8 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`stats`] | special functions, distributions, goodness-of-fit tests |
-//! | [`rng`] | GF(2) algebra, Mersenne-Twisters, normal transforms, gamma sampler, the nested kernel |
-//! | [`hls`] | HLS substrate: fixed point, 512-bit words, blocking streams, pipeline/memory/resource models, cycle simulator |
+//! | [`rng`] | GF(2) algebra, Mersenne-Twisters with Dynamic Creation and jump-ahead, normal transforms, gamma sampler, the nested kernel |
+//! | [`hls`] | HLS substrate: 512-bit words, blocking streams, pipeline/memory/resource models, cycle simulator |
 //! | [`ocl`] | fixed-architecture platform model: SIMT divergence, device profiles, NDRange scheduling |
 //! | [`core`] | the paper's contribution: decoupled work-items, transfers, Eq. 1, Table III driver |
 //! | [`energy`] | wall-plug power traces and dynamic-energy integration |
