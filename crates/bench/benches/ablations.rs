@@ -10,7 +10,7 @@ use dwi_hls::pipeline::DelayedCounter;
 use dwi_hls::wide::Packer;
 use dwi_rng::{AdaptedMt, BlockMt, MT19937};
 
-/// Listing 3 ablation: the enable-gated streaming MT vs the block MT.
+/// Listing 3 ablation: the enable-gated adapted MT vs the block MT.
 fn bench_mt_enable(b: &mut Bench) {
     let mut mt = AdaptedMt::new(MT19937, 1);
     let mut lcg = 1u64;

@@ -56,7 +56,7 @@ impl Backend for FunctionalDecoupled {
             // recorded stall, upon which the transfer engine drains the
             // backlog — the deterministic analogue of back-pressure.
             let track = Track::disabled();
-            let mut scratch: Vec<f32> = Vec::with_capacity(plan.stream_depth);
+            let mut scratch: Vec<f32> = Vec::with_capacity(plan.stream_depth.min(quota as usize));
             let regions = memory.split_regions();
             for (wid, region) in regions.into_iter().enumerate() {
                 let gwid = plan.wid_base + wid as u32;
@@ -108,7 +108,8 @@ impl Backend for FunctionalDecoupled {
                     // Global design-time id: sharding moves where a
                     // work-item runs, never which streams it draws.
                     let gwid = plan.wid_base + wid as u32;
-                    let (mut tx, mut rx) = Stream::<f32>::with_depth(plan.stream_depth);
+                    let (mut tx, mut rx) =
+                        Stream::<f32>::with_depth_reserving(plan.stream_depth, quota as usize);
                     tx.attach_track(sink.track(gwid, ProcessKind::Compute));
                     rx.attach_track(sink.track(gwid, ProcessKind::Transfer));
                     let compute = scope.spawn(move || {

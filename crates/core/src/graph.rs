@@ -808,8 +808,9 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
         for stage in &graph.stages {
             insts.push(NodeInst::Stage(stage.instantiate(wid)));
         }
-        let (prods, conss): (Vec<_>, Vec<_>) = (0..nodes - 1)
-            .map(|_| Stream::<f32>::with_depth(depth))
+        let (prods, conss): (Vec<_>, Vec<_>) = graph.quotas()[..nodes - 1]
+            .iter()
+            .map(|&quota| Stream::<f32>::with_depth_reserving(depth, quota as usize))
             .unzip();
         let mut done = vec![false; nodes];
         let mut steps = vec![0u64; nodes];

@@ -237,8 +237,13 @@ fn run_inner(cfg: &SimConfig, mut source: AcceptSource<'_>, targets: &[u64]) -> 
     let mut cycle = 0u64;
     let occ = cfg.channel.burst_occupancy(cfg.burst_rns);
     let max_target = targets.iter().copied().max().unwrap_or(0);
-    let safety = 4096
-        + cfg.n_workitems as u64 * max_target * (occ + cfg.burst_rns) / cfg.burst_rns.max(1) * 8;
+    // Saturating: a target near `u64::MAX` must not wrap the bound small.
+    let safety = (cfg.n_workitems as u64)
+        .saturating_mul(max_target)
+        .saturating_mul(occ + cfg.burst_rns)
+        / cfg.burst_rns.max(1)
+        * 8
+        + 4096;
 
     while wis.iter().any(|w| !w.done) {
         // --- complete in-flight bursts ---

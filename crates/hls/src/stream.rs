@@ -83,10 +83,18 @@ pub struct Consumer<T> {
 impl<T> Stream<T> {
     /// Create a stream of the given depth, returning its two endpoints.
     pub fn with_depth(capacity: usize) -> (Producer<T>, Consumer<T>) {
+        Self::with_depth_reserving(capacity, capacity)
+    }
+
+    /// [`Stream::with_depth`], allocating room for at most `reserve`
+    /// elements up front: a producer that can emit only `reserve` values
+    /// never needs more, however deep the FIFO. Depth semantics (blocking,
+    /// stalls, high water) are those of `capacity`.
+    pub fn with_depth_reserving(capacity: usize, reserve: usize) -> (Producer<T>, Consumer<T>) {
         assert!(capacity > 0, "stream depth must be positive");
         let inner = Arc::new(Inner {
             queue: Mutex::new(State {
-                buf: VecDeque::with_capacity(capacity),
+                buf: VecDeque::with_capacity(capacity.min(reserve)),
                 producers: 1,
                 high_water: 0,
                 write_stalls: 0,

@@ -34,10 +34,11 @@ pub fn gamma_attempt(n0: f32, u1: f32, d: f32, c: f32) -> (f32, bool) {
 }
 
 /// The α ≤ 1 correction (Listing 2's `Correct`): a Gamma(α+1) variate times
-/// `u₂^{1/α}` is Gamma(α) distributed.
+/// `u₂^{1/α}` is Gamma(α) distributed. The caller passes `inv_alpha = 1/α`,
+/// computed once per shape.
 #[inline]
-pub fn correct_alpha_le_one(g: f32, u2: f32, alpha: f32) -> f32 {
-    g * u2.powf(1.0 / alpha)
+pub fn correct_alpha_le_one(g: f32, u2: f32, inv_alpha: f32) -> f32 {
+    g * u2.powf(inv_alpha)
 }
 
 /// Marsaglia-Tsang sampler configured for one shape/scale pair.
@@ -111,7 +112,7 @@ impl MarsagliaTsang {
             return None;
         }
         let g = if self.alpha_flag {
-            correct_alpha_le_one(g, u2, self.alpha)
+            correct_alpha_le_one(g, u2, 1.0 / self.alpha)
         } else {
             g
         };
@@ -227,11 +228,11 @@ mod tests {
     #[test]
     fn correction_shrinks_towards_zero() {
         // u₂ ∈ (0,1) ⇒ multiplier < 1.
-        let g = correct_alpha_le_one(2.0, 0.5, 0.72);
+        let g = correct_alpha_le_one(2.0, 0.5, 1.0 / 0.72);
         assert!(g < 2.0 && g > 0.0);
         // u₂ = 1 is identity; u₂ = 0 collapses to 0.
-        assert_eq!(correct_alpha_le_one(2.0, 1.0, 0.72), 2.0);
-        assert_eq!(correct_alpha_le_one(2.0, 0.0, 0.72), 0.0);
+        assert_eq!(correct_alpha_le_one(2.0, 1.0, 1.0 / 0.72), 2.0);
+        assert_eq!(correct_alpha_le_one(2.0, 0.0, 1.0 / 0.72), 0.0);
     }
 
     #[test]

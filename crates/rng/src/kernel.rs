@@ -143,7 +143,8 @@ pub struct GammaKernel {
     mt1: AdaptedMt,
     mt2: AdaptedMt,
     transform: Transform,
-    alpha: f32,
+    /// `1/α`, the exponent of the α ≤ 1 correction.
+    inv_alpha: f32,
     beta: f32,
     alpha_flag: bool,
     d: f32,
@@ -179,7 +180,7 @@ impl GammaKernel {
             mt1: AdaptedMt::new(cfg.mt, derive_seed(cfg.seed, wid, 2)),
             mt2: AdaptedMt::new(cfg.mt, derive_seed(cfg.seed, wid, 3)),
             transform,
-            alpha,
+            inv_alpha: 1.0 / alpha,
             beta,
             alpha_flag,
             d,
@@ -199,14 +200,11 @@ impl GammaKernel {
     /// without re-instantiation.
     pub fn set_sector_variance(&mut self, v: f32) {
         assert!(v > 0.0, "sector variance must be positive");
-        self.alpha = 1.0 / v;
+        let alpha = 1.0 / v;
+        self.inv_alpha = 1.0 / alpha;
         self.beta = v;
-        self.alpha_flag = self.alpha <= 1.0;
-        let eff = if self.alpha_flag {
-            self.alpha + 1.0
-        } else {
-            self.alpha
-        };
+        self.alpha_flag = alpha <= 1.0;
+        let eff = if self.alpha_flag { alpha + 1.0 } else { alpha };
         self.d = eff - 1.0 / 3.0;
         self.c = 1.0 / (9.0 * self.d).sqrt();
     }
@@ -261,10 +259,14 @@ impl GammaKernel {
         let ok = n0_valid && g_valid;
         // (4) correction uniform, gated on gRN_ok.
         let u2 = uint2float(self.mt2.next(ok));
-        // (5) correction + alphaFlag select.
+        // (5) correction + alphaFlag select. Only an accepted attempt's
+        // value is written, so the correction is evaluated for those alone.
         let g_scaled = g_unscaled * self.beta;
-        let corrected = correct_alpha_le_one(g_scaled, u2, self.alpha);
-        let gamma = if self.alpha_flag { corrected } else { g_scaled };
+        let gamma = if ok && self.alpha_flag {
+            correct_alpha_le_one(g_scaled, u2, self.inv_alpha)
+        } else {
+            g_scaled
+        };
         self.combined.record(ok);
         (
             ok.then_some(gamma),

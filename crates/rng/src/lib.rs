@@ -9,8 +9,8 @@
 //! * [`mt`] — a generic Mersenne-Twister over arbitrary (w,n,m,r,a,…)
 //!   parameters with the classic **MT19937** set and the **MT521** set used by
 //!   the paper's Config2/Config4, in both the textbook block form and the
-//!   paper's streaming *adapted* form with an external enable flag
-//!   (Listing 3), plus polynomial jump-ahead,
+//!   paper's *adapted* form with an external enable flag (Listing 3),
+//!   plus polynomial jump-ahead,
 //! * [`uniform`] — the `uint2float` conversions used by the kernels,
 //! * [`transforms`] — uniform→normal transforms: Marsaglia-Bray polar
 //!   rejection (ref \[17\]), the bit-level *FPGA-style* ICDF

@@ -6,11 +6,12 @@
 //! * [`block`] — the textbook block-twist implementation ([`BlockMt`]), used
 //!   as the correctness reference (validated against the canonical MT19937
 //!   seed-5489 output vector),
-//! * [`adapted`] — the paper's Listing 3 *adapted* streaming implementation
-//!   ([`AdaptedMt`]): the generator logic runs every clock cycle and an
-//!   external `enable` flag gates the state commit, so a rejection upstream
-//!   never discards a state (Section II-E: "we would be incorrectly
-//!   discarding RNs, causing a distortion in the uniform distributions"),
+//! * [`adapted`] — the paper's Listing 3 *adapted* generator
+//!   ([`AdaptedMt`]): every call yields the next word and an external
+//!   `enable` flag gates its commit, so a rejection upstream never discards
+//!   a state (Section II-E: "we would be incorrectly discarding RNs,
+//!   causing a distortion in the uniform distributions"); in software the
+//!   words are generated a block at a time,
 //! * [`dynamic_creation`] — a real Dynamic Creation search (paper ref \[18\]):
 //!   candidate twist coefficients are certified by recovering the
 //!   characteristic polynomial with Berlekamp-Massey and testing

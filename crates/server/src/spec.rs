@@ -362,16 +362,34 @@ fn build_plan(p: &Json) -> Result<ExecutionPlan, String> {
     Ok(plan)
 }
 
+/// Build the [`SimConfig`] a `"sim"` object describes, checking every
+/// field [`dwi_hls::sim::run`] asserts on.
 fn sim_config(s: &Json) -> Result<SimConfig, String> {
+    let reject_prob = num_or(s, "reject_prob", 0.0)?;
+    if !(0.0..1.0).contains(&reject_prob) {
+        return Err("reject_prob must be in [0, 1)".into());
+    }
+    let burst = uint32_or(s, "burst_rns", 256)?;
+    if burst < 16 || !burst.is_multiple_of(16) {
+        return Err("burst_rns must be a multiple of 16, at least 16".into());
+    }
+    let fifo_depth = uint32_or(s, "fifo_depth", 64)?;
+    if fifo_depth < 1 {
+        return Err("fifo_depth must be at least 1".into());
+    }
+    let seed = match s.get("seed") {
+        None | Some(Json::Null) => 1,
+        Some(_) => uint(s, "seed")?,
+    };
     Ok(SimConfig {
-        n_workitems: uint(s, "workitems")? as usize,
+        n_workitems: positive_u32(s, "workitems")? as usize,
         rns_per_workitem: uint(s, "rns_per_workitem")?,
-        reject_prob: num_or(s, "reject_prob", 0.0)?,
-        fifo_depth: num_or(s, "fifo_depth", 64.0)? as usize,
-        burst_rns: num_or(s, "burst_rns", 256.0)? as u64,
+        reject_prob,
+        fifo_depth: fifo_depth as usize,
+        burst_rns: u64::from(burst),
         channel: burst_channel(s.get("channel"))?,
         compute_enabled: matches!(s.get("compute"), Some(Json::Bool(true))),
-        seed: num_or(s, "seed", 1.0)? as u64,
+        seed,
         trace: false,
     })
 }
@@ -407,16 +425,7 @@ pub fn parse_job(body: &str) -> Result<ParsedJob, String> {
     let mut plan = GraphPlan::new(base);
     plan = match root.get("edge_depth") {
         None | Some(Json::Null) => plan.auto_edge_depth(&graph),
-        Some(v) => {
-            let d = v
-                .as_f64()
-                .ok_or_else(|| "non-numeric field 'edge_depth'".to_string())?
-                as usize;
-            if d < 1 {
-                return Err("edge_depth must be at least 1".into());
-            }
-            plan.edge_depth(d)
-        }
+        Some(_) => plan.edge_depth(positive_u32(&root, "edge_depth")? as usize),
     };
     let seed = num_or(&root, "seed", 0.0)? as u64;
     let shards = match root.get("shards") {

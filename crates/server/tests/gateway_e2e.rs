@@ -283,3 +283,47 @@ fn zero_burst_transfers_get_400() {
     );
     gw.stop();
 }
+
+#[test]
+fn invalid_sim_specs_get_400() {
+    let gw = start_gateway(1);
+    let sim = |fields: &str| format!(r#"{{"sim":{{"rns_per_workitem":64,{fields}}}}}"#);
+    for fields in [
+        r#""workitems":1,"reject_prob":1.5"#,
+        r#""workitems":1,"reject_prob":-0.1"#,
+        r#""workitems":0"#,
+        r#""workitems":1.5"#,
+        r#""workitems":1,"burst_rns":0"#,
+        r#""workitems":1,"burst_rns":24"#,
+        r#""workitems":1,"fifo_depth":0"#,
+        r#""workitems":1,"fifo_depth":2.5"#,
+        r#""workitems":1,"seed":-1"#,
+    ] {
+        refused_and_worker_survives(&gw, &sim(fields));
+    }
+    let ok = submit_and_wait(&gw, &sim(r#""workitems":1,"reject_prob":0.25"#));
+    assert!(u64_field(&ok, "cycles") > 0);
+    gw.stop();
+}
+
+#[test]
+fn huge_fifo_depths_do_not_abort_the_server() {
+    // Each depth used to reserve its whole capacity up front, so these
+    // specs aborted the process on a failed allocation. A FIFO now
+    // reserves at most what its producer can emit.
+    let gw = start_gateway(1);
+    submit_and_wait(
+        &gw,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":8,"seed":1},"plan":{"workitems":1,"stream_depth":4294967295}}"#,
+    );
+    let two_stage = |depth: &str| {
+        format!(
+            r#"{{"kernel":{{"type":"truncated-normal","a":1.5,"quota":8,"seed":1}},"stages":[{{"type":"window-aggregate","window":2}}],"plan":{{"workitems":1}},"edge_depth":{depth}}}"#
+        )
+    };
+    submit_and_wait(&gw, &two_stage("4294967295"));
+    for depth in ["1e18", "4294967296", "2.5", "0"] {
+        refused_and_worker_survives(&gw, &two_stage(depth));
+    }
+    gw.stop();
+}
