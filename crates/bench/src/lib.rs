@@ -1,6 +1,6 @@
 //! # dwi-bench — experiment harness
 //!
-//! Shared assembly code for the binaries and benches that
+//! Shared assembly code for the binaries that
 //! regenerate every table and figure of the paper:
 //!
 //! | Artifact | Binary | Data builder |
@@ -19,8 +19,6 @@
 
 pub mod figures;
 pub mod httpgate;
-pub mod microbench;
 pub mod obs;
-pub mod profile;
 pub mod render;
 pub mod runtime_args;

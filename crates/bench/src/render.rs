@@ -1,4 +1,4 @@
-//! Text-table and CSV rendering for the experiment binaries.
+//! Text-table rendering for the experiment binaries.
 
 use std::fmt::Write as _;
 
@@ -54,32 +54,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (comma-separated, quoted where needed).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|s| esc(s))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|s| esc(s)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with `prec` decimals.
@@ -101,14 +75,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[3].starts_with("longer"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(&["a", "b"]);
-        t.row(&["x,y".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
     }
 
     #[test]

@@ -140,18 +140,6 @@ impl PaperConfig {
         }
     }
 
-    /// The normal method a *fixed* platform runs for this configuration.
-    pub fn fixed_platform_normal(&self, style: IcdfStyle) -> NormalMethod {
-        if self.is_bray() {
-            NormalMethod::MarsagliaBray
-        } else {
-            match style {
-                IcdfStyle::Cuda => NormalMethod::IcdfCuda,
-                IcdfStyle::Fpga => NormalMethod::IcdfFpga,
-            }
-        }
-    }
-
     /// The `dwi-ocl` cost cell for a fixed platform, given the measured
     /// chain rejection probability.
     pub fn ocl_cell(&self, style: IcdfStyle, reject_prob: f64) -> KernelCell {
@@ -274,24 +262,6 @@ mod tests {
         assert!((per6 as u64 * 6 - w.num_scenarios) < 6 * 16);
         let per8 = w.scenarios_per_workitem(8);
         assert_eq!(per8 as u64, 2_621_440 / 8); // divides exactly
-    }
-
-    #[test]
-    fn fixed_platform_normals() {
-        let c1 = PaperConfig::config1();
-        assert_eq!(
-            c1.fixed_platform_normal(IcdfStyle::Cuda),
-            NormalMethod::MarsagliaBray
-        );
-        let c3 = PaperConfig::config3();
-        assert_eq!(
-            c3.fixed_platform_normal(IcdfStyle::Cuda),
-            NormalMethod::IcdfCuda
-        );
-        assert_eq!(
-            c3.fixed_platform_normal(IcdfStyle::Fpga),
-            NormalMethod::IcdfFpga
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, ExecutionPlan, RunReport};
 use crate::kernel::{KernelInstance, SharedWorkItemKernel, Step, WorkItemKernel};
-use dwi_hls::dataflow::DataflowGraph;
+use dwi_hls::dataflow::{DataflowGraph, DataflowResult};
 use dwi_hls::stream::{Consumer, Stream};
 use dwi_rng::RejectionStats;
 
@@ -886,14 +886,35 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
     StreamedPass { samples, edges }
 }
 
-/// Derive the [`GraphDataflow`] cost model from per-stage sub-reports:
-/// node `k` fires once per output of its slowest work-item at the measured
-/// initiation interval (iterations per output, rounded), consuming its
-/// rate-conversion factor (upstream outputs per own output) from the input
-/// FIFO each firing; edges are FIFOs at the plan's depth (widened to the
-/// consume rate when a window exceeds it). Purely a function of the stage
-/// reports, so the model is backend-independent and survives shard merges
-/// unchanged.
+/// Run one work-item's pipeline chain through the dataflow model: node
+/// `k` fires `emitted[k]` times at initiation interval `ii[k]`, consuming
+/// its rate-conversion factor (upstream outputs per own output — a
+/// decimating window consumes W tokens to emit one) from the input FIFO
+/// each firing; edges are FIFOs at `depth`, widened to the consume rate
+/// when a window exceeds it.
+fn run_chain(names: &[&'static str], emitted: &[u64], ii: &[u64], depth: usize) -> DataflowResult {
+    let n = emitted.len();
+    let consume: Vec<u64> = (1..n)
+        .map(|k| ((emitted[k - 1] as f64 / emitted[k] as f64).round() as u64).max(1))
+        .collect();
+    let mut g = DataflowGraph::new();
+    let edge_ids: Vec<_> = (0..n - 1)
+        .map(|k| g.edge(depth.max(consume[k] as usize)))
+        .collect();
+    let mut budget_total = 0u64;
+    for k in 0..n {
+        budget_total = budget_total.saturating_add(ii[k].saturating_mul(emitted[k]));
+        let inputs: Vec<_> = (k > 0)
+            .then(|| (edge_ids[k - 1], consume[k - 1]))
+            .into_iter()
+            .collect();
+        let outputs: Vec<_> = (k + 1 < n).then(|| (edge_ids[k], 1)).into_iter().collect();
+        g.rated_node(names[k], ii[k], &inputs, &outputs, Some(emitted[k]));
+    }
+    let guard = budget_total.saturating_mul(4).saturating_add(10_000);
+    g.run(guard)
+}
+
 /// Modeled stall cycles of one work-item's pipeline chain at the given
 /// inter-stage FIFO depth — the pre-execution half of the report-side
 /// `model_dataflow`:
@@ -905,36 +926,24 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
 /// the scaling.
 pub fn modeled_edge_stalls(graph: &KernelGraph, depth: usize) -> u64 {
     let q = graph.quotas();
-    let n = q.len();
-    if n < 2 {
+    if q.len() < 2 {
         return 0;
     }
     let scale = (q[0] / 4096).max(1);
     let emitted: Vec<u64> = q.iter().map(|&v| (v / scale).max(1)).collect();
-    let consume: Vec<u64> = (1..n)
-        .map(|k| ((emitted[k - 1] as f64 / emitted[k] as f64).round() as u64).max(1))
-        .collect();
-    let mut g = DataflowGraph::new();
-    let edge_ids: Vec<_> = (0..n - 1)
-        .map(|k| g.edge(depth.max(consume[k] as usize)))
-        .collect();
-    let names = graph.node_names();
-    let mut budget_total = 0u64;
-    for (k, &out) in emitted.iter().enumerate() {
-        budget_total = budget_total.saturating_add(out);
-        let inputs: Vec<_> = (k > 0)
-            .then(|| (edge_ids[k - 1], consume[k - 1]))
-            .into_iter()
-            .collect();
-        let outputs: Vec<_> = (k + 1 < n).then(|| (edge_ids[k], 1)).into_iter().collect();
-        g.rated_node(names[k], 1, &inputs, &outputs, Some(out));
-    }
-    let guard = budget_total.saturating_mul(4).saturating_add(10_000);
-    g.run(guard).stalls.iter().sum()
+    let ii = vec![1; q.len()];
+    run_chain(&graph.node_names(), &emitted, &ii, depth)
+        .stalls
+        .iter()
+        .sum()
 }
 
+/// Derive the [`GraphDataflow`] cost model from per-stage sub-reports:
+/// node `k` fires once per output of its slowest work-item at the measured
+/// initiation interval (iterations per output, rounded). Purely a function
+/// of the stage reports, so the model is backend-independent and survives
+/// shard merges unchanged.
 fn model_dataflow(stages: &[RunReport], depth: usize) -> GraphDataflow {
-    let n = stages.len();
     let emitted: Vec<u64> = stages
         .iter()
         .map(|r| {
@@ -946,31 +955,16 @@ fn model_dataflow(stages: &[RunReport], depth: usize) -> GraphDataflow {
                 .max(1)
         })
         .collect();
-    // Consume rate of stage k per firing: upstream outputs per own output
-    // (a decimating window consumes W tokens to emit one).
-    let consume: Vec<u64> = (1..n)
-        .map(|k| ((emitted[k - 1] as f64 / emitted[k] as f64).round() as u64).max(1))
+    let stage_ii: Vec<u64> = stages
+        .iter()
+        .zip(&emitted)
+        .map(|(r, &out)| {
+            let iters = r.iterations.iter().copied().max().unwrap_or(0);
+            ((iters as f64 / out as f64).round() as u64).max(1)
+        })
         .collect();
-    let mut g = DataflowGraph::new();
-    let edge_ids: Vec<_> = (0..n - 1)
-        .map(|k| g.edge(depth.max(consume[k] as usize)))
-        .collect();
-    let mut stage_ii = Vec::with_capacity(n);
-    let mut budget_total = 0u64;
-    for (k, r) in stages.iter().enumerate() {
-        let iters = r.iterations.iter().copied().max().unwrap_or(0);
-        let ii = ((iters as f64 / emitted[k] as f64).round() as u64).max(1);
-        stage_ii.push(ii);
-        budget_total = budget_total.saturating_add(ii.saturating_mul(emitted[k]));
-        let inputs: Vec<_> = (k > 0)
-            .then(|| (edge_ids[k - 1], consume[k - 1]))
-            .into_iter()
-            .collect();
-        let outputs: Vec<_> = (k + 1 < n).then(|| (edge_ids[k], 1)).into_iter().collect();
-        g.rated_node(r.kernel, ii, &inputs, &outputs, Some(emitted[k]));
-    }
-    let guard = budget_total.saturating_mul(4).saturating_add(10_000);
-    let r = g.run(guard);
+    let names: Vec<_> = stages.iter().map(|r| r.kernel).collect();
+    let r = run_chain(&names, &emitted, &stage_ii, depth);
     GraphDataflow {
         cycles: r.cycles,
         stage_ii,

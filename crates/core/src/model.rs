@@ -106,12 +106,6 @@ impl FpgaRuntimeModel {
         self.compute_bound_s(workload)
             .max(self.transfer_bound_s(workload))
     }
-
-    /// True when the memory transfers determine the runtime (the paper's
-    /// conclusion for all four configurations at full size).
-    pub fn is_transfer_bound(&self, workload: &Workload) -> bool {
-        self.transfer_bound_s(workload) >= self.compute_bound_s(workload)
-    }
 }
 
 #[cfg(test)]
@@ -135,12 +129,12 @@ mod tests {
         let m12 = FpgaRuntimeModel::for_config(&PaperConfig::config1(), 0.304);
         let t12 = m12.runtime_s(&w) * 1e3;
         assert!((t12 - 701.0).abs() < 15.0, "Config1,2 FPGA: {t12} ms");
-        assert!(m12.is_transfer_bound(&w));
+        assert!(m12.transfer_bound_s(&w) >= m12.compute_bound_s(&w));
         // Config3,4 with our r ≈ 0.024 → ~640 ms, transfer-bound.
         let m34 = FpgaRuntimeModel::for_config(&PaperConfig::config3(), 0.024);
         let t34 = m34.runtime_s(&w) * 1e3;
         assert!((t34 - 642.0).abs() < 15.0, "Config3,4 FPGA: {t34} ms");
-        assert!(m34.is_transfer_bound(&w));
+        assert!(m34.transfer_bound_s(&w) >= m34.compute_bound_s(&w));
     }
 
     #[test]
@@ -151,7 +145,7 @@ mod tests {
             ..FpgaRuntimeModel::for_config(&PaperConfig::config1(), 2.0)
         };
         let w = Workload::paper();
-        assert!(!m.is_transfer_bound(&w));
+        assert!(m.transfer_bound_s(&w) < m.compute_bound_s(&w));
         assert!(m.runtime_s(&w) > 1.5);
     }
 

@@ -63,22 +63,9 @@ pub fn transfer_traced(
     engine.finish()
 }
 
-/// [`transfer`] fed from a slice instead of a stream — the cooperative
-/// (threadless) engine's transfer half. Stats and region contents are a
-/// pure function of the value sequence and `burst_words`, so this is
-/// bit-identical to draining the same values through a stream.
-pub fn transfer_slice(values: &[f32], region: &mut [Wide512], burst_words: usize) -> TransferStats {
-    let track = Track::disabled();
-    let mut engine = TransferEngine::new(region, burst_words, &track);
-    for &v in values {
-        engine.push(v);
-    }
-    engine.finish()
-}
-
-/// The incremental transfer engine behind [`transfer_traced`] and
-/// [`transfer_slice`]: 16-lane packing, `burst_words`-word staging
-/// buffer, `memcpy` flushes into the region — Listing 4, value at a time.
+/// The incremental transfer engine behind [`transfer_traced`]: 16-lane
+/// packing, `burst_words`-word staging buffer, `memcpy` flushes into the
+/// region — Listing 4, value at a time.
 pub struct TransferEngine<'a> {
     region: &'a mut [Wide512],
     burst_words: usize,

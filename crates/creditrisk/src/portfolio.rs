@@ -81,12 +81,6 @@ impl Portfolio {
         self.obligors.iter().map(|o| o.pd * o.exposure as f64).sum()
     }
 
-    /// Largest possible single-scenario *expected* exposure (sum of all
-    /// exposures) — a safe truncation bound helper.
-    pub fn total_exposure(&self) -> u64 {
-        self.obligors.iter().map(|o| o.exposure as u64).sum()
-    }
-
     /// A deterministic synthetic portfolio: `n_obligors` spread over
     /// `n_sectors` sectors of variance `v`, with exposures and PDs cycling
     /// over small ranges. Stands in for the proprietary loan books the
@@ -145,7 +139,6 @@ mod tests {
         };
         p.validate().unwrap();
         assert!((p.expected_loss() - 0.2).abs() < 1e-12);
-        assert_eq!(p.total_exposure(), 15);
     }
 
     #[test]

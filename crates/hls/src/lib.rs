@@ -9,8 +9,8 @@
 //!   Section III-D),
 //! * [`stream`] — `hls::stream`-style bounded blocking FIFOs used to couple
 //!   each work-item's compute process to its transfer process (Listing 1),
-//! * [`pipeline`] — initiation-interval / depth / trip-count cycle math and
-//!   the [`pipeline::DelayedCounter`] loop-exit workaround of Listing 2,
+//! * [`pipeline`] — initiation-interval / depth / trip-count cycle math,
+//!   including the II cost of Listing 2's loop-exit dependency,
 //! * [`memory`] — the burst-mode device-global-memory channel model
 //!   (calibrated to the paper's measured 3.58 / 3.94 GB/s, Fig. 7),
 //! * [`sim`] — a cycle-level discrete-event dataflow engine used to observe
@@ -30,7 +30,7 @@ pub mod stream;
 pub mod wide;
 
 pub use memory::BurstChannel;
-pub use pipeline::{DelayedCounter, PipelineModel};
+pub use pipeline::PipelineModel;
 pub use resources::{ResourceCost, ResourceReport};
 pub use stream::Stream;
 pub use wide::Wide512;

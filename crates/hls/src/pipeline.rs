@@ -1,12 +1,12 @@
-//! Pipeline cycle math and the delayed loop-exit counter.
+//! Pipeline cycle math.
 //!
 //! `#pragma HLS pipeline II=1` turns a loop body into a pipeline that accepts
 //! a new iteration every `II` cycles after a fill latency of `depth` cycles.
 //! The central performance claim of the paper rests on keeping II = 1 despite
-//! the data-dependent loop-exit condition; [`DelayedCounter`] is the
-//! workaround (Listing 2's `prevCounter[breakId]`) and
+//! the data-dependent loop-exit condition; Listing 2's `prevCounter[breakId]`
+//! delay line is the workaround, and
 //! [`PipelineModel::ii_for_exit_dependency`] quantifies what happens
-//! without it (the ablation bench exercises both).
+//! without it.
 
 /// Cycle model of a pipelined loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +35,6 @@ impl PipelineModel {
         }
     }
 
-    /// Throughput in iterations per cycle, asymptotically `1/II`.
-    pub fn throughput(&self) -> f64 {
-        1.0 / self.ii as f64
-    }
-
     /// The II forced by a loop-exit condition that reads a value produced
     /// `result_latency` cycles into the body, when the exit test is delayed
     /// by `delay` iterations (the `breakId + 1` of Listing 2).
@@ -59,59 +54,6 @@ impl PipelineModel {
     }
 }
 
-/// The Listing 2 `prevCounter[breakId]` shift register: exposes the counter
-/// value as it was `delay` updates ago, breaking the loop-carried dependency
-/// between the counter increment (late in the pipeline) and the loop-exit
-/// comparison (at issue).
-#[derive(Debug, Clone)]
-pub struct DelayedCounter {
-    ring: Vec<u64>,
-    head: usize,
-    value: u64,
-}
-
-impl DelayedCounter {
-    /// A counter whose observable value lags `delay ≥ 1` updates behind
-    /// (`delay = breakId + 1`).
-    pub fn new(delay: usize) -> Self {
-        assert!(delay >= 1, "delay must be at least 1");
-        Self {
-            ring: vec![0; delay],
-            head: 0,
-            value: 0,
-        }
-    }
-
-    /// One pipeline cycle: publish the current value into the delay line
-    /// (the `UpdateRegUI` call), then optionally increment.
-    #[inline]
-    pub fn update(&mut self, increment: bool) {
-        self.ring[self.head] = self.value;
-        self.head = (self.head + 1) % self.ring.len();
-        if increment {
-            self.value += 1;
-        }
-    }
-
-    /// The *delayed* value — what the loop-exit comparison sees.
-    #[inline]
-    pub fn delayed(&self) -> u64 {
-        // head now points at the oldest entry.
-        self.ring[self.head]
-    }
-
-    /// The true (undelayed) value — what gates the output write.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.value
-    }
-
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.ring.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +66,6 @@ mod tests {
         assert_eq!(p.cycles(100), 109);
         let p2 = PipelineModel::new(3, 10);
         assert_eq!(p2.cycles(100), 10 + 99 * 3);
-    }
-
-    #[test]
-    fn throughput_asymptote() {
-        assert_eq!(PipelineModel::new(1, 5).throughput(), 1.0);
-        assert_eq!(PipelineModel::new(4, 5).throughput(), 0.25);
     }
 
     #[test]
@@ -152,69 +88,5 @@ mod tests {
         let p = PipelineModel::new(1, 50);
         let t = p.runtime_s(629_145_600, 200e6);
         assert!((t - 3.1457).abs() < 0.001, "t = {t}");
-    }
-
-    #[test]
-    fn delayed_counter_lags_by_delay() {
-        let mut c = DelayedCounter::new(1);
-        assert_eq!(c.delayed(), 0);
-        c.update(true); // value 0 published, then ++ → 1
-        assert_eq!(c.current(), 1);
-        assert_eq!(c.delayed(), 0, "sees the pre-increment value");
-        c.update(true);
-        assert_eq!(c.current(), 2);
-        assert_eq!(c.delayed(), 1);
-    }
-
-    #[test]
-    fn delayed_counter_with_gaps() {
-        let mut c = DelayedCounter::new(2);
-        let pattern = [true, false, true, true, false];
-        let mut history = vec![0u64]; // value before each update
-        for &inc in &pattern {
-            c.update(inc);
-            history.push(c.current());
-        }
-        // After k updates, delayed() = value as of (k - 2) updates.
-        assert_eq!(c.current(), 3);
-        assert_eq!(c.delayed(), history[pattern.len() - 2]);
-    }
-
-    #[test]
-    fn loop_exit_equivalence() {
-        // A loop gated on the delayed counter produces the same number of
-        // outputs as one gated on the true counter, with ≤ delay extra trips.
-        let limit = 100u64;
-        for delay in 1..=4usize {
-            let mut c = DelayedCounter::new(delay);
-            let mut trips = 0u64;
-            let mut outputs = 0u64;
-            // accept every 3rd iteration
-            let mut k = 0u64;
-            while c.delayed() < limit {
-                let accept = k.is_multiple_of(3);
-                c.update(accept && c.current() < limit);
-                if accept && outputs < limit {
-                    outputs += 1;
-                }
-                k += 1;
-                trips += 1;
-                assert!(trips < 10_000, "runaway loop");
-            }
-            assert_eq!(outputs, limit);
-            // Baseline trips: last accepted at iteration where count hits 100.
-            let baseline = 3 * (limit - 1) + 1;
-            assert!(trips >= baseline);
-            assert!(
-                trips - baseline <= 3 * delay as u64 + 3,
-                "delay {delay}: {trips} vs {baseline}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "delay must be at least 1")]
-    fn zero_delay_panics() {
-        let _ = DelayedCounter::new(0);
     }
 }

@@ -163,17 +163,6 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// Clone the producer (multiple writers keep the stream open). The
-    /// clone starts untracked; call [`Producer::attach_track`] on it.
-    pub fn clone_producer(&self) -> Producer<T> {
-        self.inner.lock().producers += 1;
-        Producer {
-            inner: self.inner.clone(),
-            track: None,
-            stall_counter: Counter::disabled(),
-        }
-    }
-
     /// (write stalls, read stalls) so far — same counters as
     /// [`Consumer::stalls`], readable from the writing side.
     pub fn stalls(&self) -> (u64, u64) {
@@ -398,17 +387,6 @@ mod tests {
         }
         assert_eq!(expected, n);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn multiple_producers_keep_stream_open() {
-        let (tx, rx) = Stream::with_depth(8);
-        let tx2 = tx.clone_producer();
-        drop(tx);
-        tx2.write(5);
-        drop(tx2);
-        assert_eq!(rx.read(), Some(5));
-        assert_eq!(rx.read(), None);
     }
 
     #[test]

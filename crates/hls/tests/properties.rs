@@ -2,7 +2,7 @@
 //! `dwi-testkit` generator; seeds are fixed, failures reproduce exactly).
 
 use dwi_hls::memory::BurstChannel;
-use dwi_hls::pipeline::{DelayedCounter, PipelineModel};
+use dwi_hls::pipeline::PipelineModel;
 use dwi_hls::stream::Stream;
 use dwi_hls::wide::{unpack_words, Packer, Wide512};
 use dwi_testkit::cases;
@@ -43,24 +43,6 @@ fn pipeline_cycles_monotone() {
         if trips > 0 {
             assert_eq!(m.cycles(trips + 1) - m.cycles(trips), ii);
         }
-    });
-}
-
-#[test]
-fn delayed_counter_lags_exactly() {
-    cases(256, |r| {
-        let delay = r.usize_range(1, 8);
-        let len = r.usize_range(1, 100);
-        let increments = r.vec_bool(len);
-        let mut c = DelayedCounter::new(delay);
-        let mut history = vec![0u64]; // value before update k
-        for &inc in &increments {
-            c.update(inc);
-            history.push(c.current());
-        }
-        let k = increments.len();
-        let expect = history[k.saturating_sub(delay)];
-        assert_eq!(c.delayed(), expect);
     });
 }
 

@@ -29,12 +29,6 @@ impl NdRange {
         }
     }
 
-    /// The paper's simulation setup: globalSize 65536 (Fig. 5b) at a
-    /// platform-optimal localSize.
-    pub fn paper_setup(local_size: u64) -> Self {
-        Self::new(65_536, local_size)
-    }
-
     /// Number of work-groups.
     pub fn groups(&self) -> u64 {
         self.global_size / self.local_size
@@ -49,17 +43,6 @@ impl NdRange {
     /// Total hardware partitions in flight.
     pub fn partitions(&self, w: u32) -> u64 {
         self.groups() * self.partitions_per_group(w)
-    }
-
-    /// Active lanes in the (single) trailing partition of a group — lanes
-    /// beyond this idle for the whole kernel (underfill).
-    pub fn active_lanes_in_last_partition(&self, w: u32) -> u32 {
-        let rem = self.local_size % w as u64;
-        if rem == 0 {
-            w
-        } else {
-            rem as u32
-        }
     }
 
     /// Outputs each work-item must produce to reach `total` outputs.
@@ -78,7 +61,6 @@ mod tests {
         assert_eq!(r.groups(), 1024);
         assert_eq!(r.partitions_per_group(32), 2);
         assert_eq!(r.partitions(32), 2048);
-        assert_eq!(r.active_lanes_in_last_partition(32), 32);
     }
 
     #[test]
@@ -86,13 +68,12 @@ mod tests {
         let r = NdRange::new(120, 12);
         assert_eq!(r.groups(), 10);
         assert_eq!(r.partitions_per_group(8), 2);
-        assert_eq!(r.active_lanes_in_last_partition(8), 4);
     }
 
     #[test]
     fn outputs_per_workitem_paper_setup() {
         // 629,145,600 outputs over 65,536 work-items = 9600 each.
-        let r = NdRange::paper_setup(64);
+        let r = NdRange::new(65_536, 64);
         assert_eq!(r.outputs_per_workitem(2_621_440 * 240), 9600.0);
     }
 

@@ -34,12 +34,6 @@ impl PcieLink {
         assert!(requests >= 1, "need at least one request");
         bytes as f64 / self.bandwidth + requests as f64 * self.request_latency
     }
-
-    /// Relative overhead of host-level combining (N requests) vs
-    /// device-level combining (1 request) for the same payload.
-    pub fn combining_overhead(&self, bytes: u64, n_workitems: u32) -> f64 {
-        self.transfer_s(bytes, n_workitems) / self.transfer_s(bytes, 1) - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -61,10 +55,14 @@ mod tests {
         let link = PcieLink::gen3_x8();
         // Section III-E: device-level combining loses <1% even at 8 requests
         // for the full 2.5 GB payload.
-        let overhead = link.combining_overhead(2_516_582_400, 8);
+        // Overhead of host-level combining (8 requests) vs device-level
+        // combining (1 request) for the same payload.
+        let combining_overhead =
+            |bytes| link.transfer_s(bytes, 8) / link.transfer_s(bytes, 1) - 1.0;
+        let overhead = combining_overhead(2_516_582_400);
         assert!(overhead < 0.01, "overhead {overhead}");
         // For a tiny payload, per-request latency dominates.
-        let small = link.combining_overhead(4096, 8);
+        let small = combining_overhead(4096);
         assert!(small > 1.0, "small-payload overhead {small}");
     }
 

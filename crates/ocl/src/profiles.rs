@@ -269,26 +269,6 @@ impl DeviceProfile {
             groups * self.group_overhead_cycles / (self.parallel_partitions as f64 * self.freq_hz);
         total_iters * c * latency * oversize / rate + group_overhead
     }
-
-    /// The Fig. 5a-optimal localSize for this device (paper: CPU 8, GPU 64,
-    /// PHI 16), found by sweeping the model.
-    pub fn optimal_local_size(&self, cell: &KernelCell, total_outputs: u64, global: u64) -> u64 {
-        let mut best = (f64::INFINITY, 1u64);
-        let mut l = 1u64;
-        while l <= 512 {
-            let t = self.kernel_runtime_s(cell, total_outputs, global, l);
-            if t < best.0 {
-                best = (t, l);
-            }
-            l *= 2;
-        }
-        best.1
-    }
-}
-
-/// The three fixed platforms, in the paper's reporting order.
-pub fn all_fixed_platforms() -> [DeviceProfile; 3] {
-    [CPU, GPU, PHI]
 }
 
 #[cfg(test)]
@@ -380,25 +360,40 @@ mod tests {
         }
     }
 
+    /// The Fig. 5a-optimal localSize of `dev`, found by sweeping the model
+    /// over powers of two.
+    fn optimal_local_size(dev: &DeviceProfile, cell: &KernelCell, total: u64, global: u64) -> u64 {
+        let mut best = (f64::INFINITY, 1u64);
+        let mut l = 1u64;
+        while l <= 512 {
+            let t = dev.kernel_runtime_s(cell, total, global, l);
+            if t < best.0 {
+                best = (t, l);
+            }
+            l *= 2;
+        }
+        best.1
+    }
+
     #[test]
     fn optimal_local_sizes_match_fig5a() {
         // Fig. 5a: localSize_CPU = 8, localSize_GPU = 64, localSize_PHI = 16.
         let c1 = cell(Transform::MarsagliaBray, true);
-        assert_eq!(CPU.optimal_local_size(&c1, N, GLOBAL), 8);
-        assert_eq!(GPU.optimal_local_size(&c1, N, GLOBAL), 64);
-        assert_eq!(PHI.optimal_local_size(&c1, N, GLOBAL), 16);
+        assert_eq!(optimal_local_size(&CPU, &c1, N, GLOBAL), 8);
+        assert_eq!(optimal_local_size(&GPU, &c1, N, GLOBAL), 64);
+        assert_eq!(optimal_local_size(&PHI, &c1, N, GLOBAL), 16);
         // The optima are properties of the architecture, not the transform.
         let c3 = cell(Transform::IcdfCuda, true);
-        assert_eq!(CPU.optimal_local_size(&c3, N, GLOBAL), 8);
-        assert_eq!(GPU.optimal_local_size(&c3, N, GLOBAL), 64);
-        assert_eq!(PHI.optimal_local_size(&c3, N, GLOBAL), 16);
+        assert_eq!(optimal_local_size(&CPU, &c3, N, GLOBAL), 8);
+        assert_eq!(optimal_local_size(&GPU, &c3, N, GLOBAL), 64);
+        assert_eq!(optimal_local_size(&PHI, &c3, N, GLOBAL), 16);
     }
 
     #[test]
     fn runtime_decreases_then_flattens_with_global_size() {
         // Fig. 5b: globalSize 65536 sits on the flat part of the curve.
         let c = cell(Transform::MarsagliaBray, true);
-        for dev in all_fixed_platforms() {
+        for dev in [CPU, GPU, PHI] {
             let local = match dev.kind {
                 DeviceKind::Cpu => 8,
                 DeviceKind::Gpu => 64,

@@ -50,11 +50,6 @@ pub fn minimal_polynomial(seq: &[bool]) -> Gf2Poly {
     Gf2Poly::from_bits(&c[..=l])
 }
 
-/// Convenience: the linear complexity (degree of the minimal polynomial).
-pub fn linear_complexity(seq: &[bool]) -> usize {
-    minimal_polynomial(seq).degree().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +99,7 @@ mod tests {
         let seq = vec![false; 32];
         let c = minimal_polynomial(&seq);
         assert_eq!(c, Gf2Poly::one());
-        assert_eq!(linear_complexity(&seq), 0);
+        assert_eq!(minimal_polynomial(&seq).degree().unwrap_or(0), 0);
     }
 
     #[test]
@@ -121,7 +116,7 @@ mod tests {
         // it is large.
         let mut seq = vec![false; 20];
         seq[19] = true;
-        assert!(linear_complexity(&seq) >= 10);
+        assert!(minimal_polynomial(&seq).degree().unwrap_or(0) >= 10);
     }
 
     #[test]

@@ -204,17 +204,6 @@ impl Gf2Poly {
         p
     }
 
-    /// Greatest common divisor (Euclid).
-    pub fn gcd(&self, other: &Self) -> Self {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
-        }
-        a
-    }
-
     /// `x^(2^e) mod modulus` by repeated squaring of x.
     pub fn x_pow_pow2_mod(e: usize, modulus: &Self) -> Self {
         let mut acc = Self::monomial(1).rem(modulus);
@@ -370,16 +359,6 @@ mod tests {
             Gf2Poly::monomial(2).rem(&m),
             Gf2Poly::from_exponents([0, 1])
         );
-    }
-
-    #[test]
-    fn gcd_of_known_factors() {
-        let a = Gf2Poly::from_exponents([0, 1]); // x+1
-        let b = Gf2Poly::from_exponents([0, 1, 2]); // x^2+x+1, irreducible
-        let prod = a.mul(&b);
-        assert_eq!(prod.gcd(&b), b);
-        assert_eq!(prod.gcd(&a), a);
-        assert_eq!(a.gcd(&b), Gf2Poly::one());
     }
 
     #[test]

@@ -194,41 +194,6 @@ impl GammaKernel {
         self.wid
     }
 
-    /// Re-derive the shape constants for a new sector variance — Listing 2
-    /// recomputes `alpha`/`alphaFlag` at the top of `SECLOOP`, so one kernel
-    /// can serve heterogeneous CreditRisk+ sectors (per-sector `v_k`)
-    /// without re-instantiation.
-    pub fn set_sector_variance(&mut self, v: f32) {
-        assert!(v > 0.0, "sector variance must be positive");
-        let alpha = 1.0 / v;
-        self.inv_alpha = 1.0 / alpha;
-        self.beta = v;
-        self.alpha_flag = alpha <= 1.0;
-        let eff = if self.alpha_flag { alpha + 1.0 } else { alpha };
-        self.d = eff - 1.0 / 3.0;
-        self.c = 1.0 / (9.0 * self.d).sqrt();
-    }
-
-    /// Run all sectors with per-sector variances (heterogeneous CreditRisk+
-    /// economy): `variances[k]` applies to sector `k`; the count must equal
-    /// `limit_sec`.
-    pub fn run_all_with_variances(&mut self, variances: &[f32], out: &mut Vec<f32>) -> SectorRun {
-        assert_eq!(
-            variances.len(),
-            self.cfg.limit_sec as usize,
-            "one variance per sector"
-        );
-        let mut total = SectorRun::default();
-        for &v in variances {
-            self.set_sector_variance(v);
-            let r = self.run_sector(|g| out.push(g));
-            total.iterations += r.iterations;
-            total.produced += r.produced;
-            total.truncated |= r.truncated;
-        }
-        total
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &KernelConfig {
         &self.cfg
@@ -553,59 +518,6 @@ mod tests {
         assert!(r.truncated);
         assert_eq!(r.iterations, 10_000);
         assert!(out.len() < 10_000);
-    }
-
-    #[test]
-    fn per_sector_variances_produce_matching_marginals() {
-        // Heterogeneous economy: each sector's slice must follow its own
-        // Gamma(1/v_k, v_k).
-        let variances = [0.5f32, 1.39, 4.0];
-        let mut k = GammaKernel::new(
-            &KernelConfig {
-                limit_sec: 3,
-                limit_main: 20_000,
-                ..KernelConfig::default()
-            },
-            0,
-        );
-        let mut out = Vec::new();
-        let r = k.run_all_with_variances(&variances, &mut out);
-        assert_eq!(r.produced, 60_000);
-        for (sec, &v) in variances.iter().enumerate() {
-            let slice = &out[sec * 20_000..(sec + 1) * 20_000];
-            let mut s = dwi_stats::Summary::new();
-            s.extend_f32(slice);
-            assert!(
-                (s.mean() - 1.0).abs() < 0.03,
-                "sector {sec}: mean {}",
-                s.mean()
-            );
-            assert!(
-                (s.variance() - v as f64).abs() / (v as f64) < 0.1,
-                "sector {sec}: var {} vs {v}",
-                s.variance()
-            );
-        }
-    }
-
-    #[test]
-    fn set_sector_variance_flips_alpha_flag() {
-        let mut k = GammaKernel::new(&KernelConfig::default(), 0);
-        k.set_sector_variance(0.5); // alpha = 2 > 1
-        let mut out = Vec::new();
-        let r = k.run_sector(|g| out.push(g));
-        assert_eq!(r.produced, 1024);
-        let mut s = dwi_stats::Summary::new();
-        s.extend_f32(&out);
-        assert!((s.variance() - 0.5).abs() < 0.1, "var {}", s.variance());
-    }
-
-    #[test]
-    #[should_panic(expected = "one variance per sector")]
-    fn variance_count_mismatch_panics() {
-        let mut k = GammaKernel::new(&KernelConfig::default(), 0);
-        let mut out = Vec::new();
-        k.run_all_with_variances(&[1.0, 2.0], &mut out);
     }
 
     #[test]

@@ -18,13 +18,6 @@ pub fn uint2float_signed(u: u32) -> f32 {
     (u >> 8) as f32 * (2.0 / 16_777_216.0) - 1.0
 }
 
-/// Map a `u32` to a double uniform in `[0, 1)` using all 32 bits (reference
-/// paths and table construction).
-#[inline]
-pub fn uint2double(u: u32) -> f64 {
-    u as f64 * (1.0 / 4_294_967_296.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,12 +57,5 @@ mod tests {
             assert!(v >= prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn double_conversion_uses_all_bits() {
-        assert_eq!(uint2double(0), 0.0);
-        assert!((uint2double(1) - 2.0f64.powi(-32)).abs() < 1e-20);
-        assert!(uint2double(u32::MAX) < 1.0);
     }
 }

@@ -624,7 +624,7 @@ impl Runtime {
     }
 
     /// Submit, sleeping out backpressure rejections until admitted — the
-    /// closed-loop client pattern (the load generator and the figure
+    /// closed-loop client pattern (the overhead gates and the figure
     /// binaries use this). Retries honor the queue's retry-after hint
     /// with capped exponential backoff; the total time slept is exposed
     /// through [`JobHandle::total_backoff`] and the

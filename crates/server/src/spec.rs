@@ -24,6 +24,15 @@ use dwi_rng::{MtParams, NormalMethod, MT19937, MT521};
 use dwi_runtime::Priority;
 use dwi_trace::json::{escape_str, parse, Json};
 
+/// The most samples one kernel or graph job may ask for: `workitems ×
+/// quota` of every node (a calibration kernel's quota is its `samples`).
+/// Backends allocate a node's whole output buffer before the first step,
+/// so an unbounded product aborts the process on a failed allocation
+/// instead of failing the job. 2^26 `f32` samples is 256 MiB per buffer,
+/// several hundred times the largest job a table, figure or benchmark
+/// pool submits (a 100,000-sample calibration).
+const MAX_JOB_SAMPLES: u64 = 1 << 26;
+
 /// One parsed submission, ready for the runtime's front door.
 pub enum ParsedJob {
     /// A kernel or multi-stage graph job (the shardable, remote-eligible
@@ -212,7 +221,7 @@ fn build_source(k: &Json) -> Result<dwi_core::SharedWorkItemKernel, String> {
             if !sector_variance.is_finite() || sector_variance <= 0.0 {
                 return Err("sector_variance must be finite and positive".into());
             }
-            let samples = uint(k, "samples")? as u32;
+            let samples = uint32(k, "samples")?;
             if samples == 0 {
                 return Err("samples must be at least 1".into());
             }
@@ -422,6 +431,16 @@ pub fn parse_job(body: &str) -> Result<ParsedJob, String> {
         .get("plan")
         .ok_or_else(|| "missing field 'plan'".to_string())?;
     let base = build_plan(plan_obj)?;
+    let workitems = u64::from(base.workitems);
+    if graph
+        .quotas()
+        .iter()
+        .any(|&q| q.saturating_mul(workitems) > MAX_JOB_SAMPLES)
+    {
+        return Err(format!(
+            "workitems x quota exceeds the per-job budget of {MAX_JOB_SAMPLES} samples"
+        ));
+    }
     let mut plan = GraphPlan::new(base);
     plan = match root.get("edge_depth") {
         None | Some(Json::Null) => plan.auto_edge_depth(&graph),
@@ -690,5 +709,16 @@ mod tests {
         rejected(&calib("0", "100"), "sector_variance must be");
         rejected(&calib("-2", "100"), "sector_variance must be");
         rejected(&calib("4.0", "0"), "samples must be at least 1");
+        rejected(&calib("4.0", "134217728"), "per-job budget");
+        rejected(&calib("4.0", "1e15"), "exceeds");
+    }
+
+    #[test]
+    fn jobs_over_the_sample_budget_are_rejected() {
+        rejected(&tn("1.5", "1e15"), "per-job budget");
+        let wide = tn("1.5", "65536").replace(r#""workitems": 1"#, r#""workitems": 1025"#);
+        rejected(&wide, "per-job budget");
+        let at_budget = tn("1.5", "65536").replace(r#""workitems": 1"#, r#""workitems": 1024"#);
+        assert!(parse_job(&at_budget).is_ok());
     }
 }

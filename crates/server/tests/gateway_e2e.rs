@@ -327,3 +327,25 @@ fn huge_fifo_depths_do_not_abort_the_server() {
     }
     gw.stop();
 }
+
+#[test]
+fn jobs_over_the_sample_budget_get_400() {
+    // A job's `workitems × quota` samples are allocated before its first
+    // step, so these specs used to abort the process in
+    // `DeviceMemory::new` after a `202`.
+    let gw = start_gateway(1);
+    for spec in [
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":1e15,"seed":7},"plan":{"workitems":1}}"#,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":1e6,"seed":7},"plan":{"workitems":1e9}}"#,
+        r#"{"kernel":{"type":"severity-exp-mix","w":0.5,"lambda1":2.0,"lambda2":0.5,"quota":1e15,"seed":7},"stages":[{"type":"window-aggregate","window":8}],"plan":{"workitems":1},"edge_depth":8}"#,
+        r#"{"kernel":{"type":"calibration","normal":"marsaglia-bray","mt":"mt19937","sector_variance":4.0,"samples":4294967297},"plan":{"workitems":1}}"#,
+    ] {
+        refused_and_worker_survives(&gw, spec);
+    }
+    let result = submit_and_wait(
+        &gw,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":8,"seed":7},"plan":{"workitems":1}}"#,
+    );
+    assert_eq!(u64_field(&result, "samples"), 8);
+    gw.stop();
+}

@@ -28,13 +28,6 @@ impl Ecdf {
         false
     }
 
-    /// Fraction of samples `<= x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        // partition_point: count of elements <= x
-        let k = self.sorted.partition_point(|&v| v <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-
     /// Sorted sample values.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
@@ -52,22 +45,6 @@ impl Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_function_values() {
-        let e = Ecdf::new(vec![3.0, 1.0, 2.0]);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert!((e.eval(1.0) - 1.0 / 3.0).abs() < 1e-15);
-        assert!((e.eval(2.5) - 2.0 / 3.0).abs() < 1e-15);
-        assert_eq!(e.eval(3.0), 1.0);
-        assert_eq!(e.eval(99.0), 1.0);
-    }
-
-    #[test]
-    fn ties_counted_correctly() {
-        let e = Ecdf::new(vec![1.0, 1.0, 1.0, 2.0]);
-        assert_eq!(e.eval(1.0), 0.75);
-    }
 
     #[test]
     fn quantiles() {

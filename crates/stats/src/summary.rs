@@ -1,9 +1,9 @@
 //! One-pass descriptive statistics (Welford / Terriberry update rules for
-//! mean, variance, skewness and excess kurtosis).
+//! mean, variance and skewness).
 
 /// Streaming summary statistics over a sequence of `f64` samples.
 ///
-/// Numerically stable single-pass accumulation of the first four central
+/// Numerically stable single-pass accumulation of the first three central
 /// moments; used in tests to check generated distributions against analytic
 /// moments without storing multi-GB sequences.
 #[derive(Debug, Clone, Copy, Default)]
@@ -12,7 +12,6 @@ pub struct Summary {
     mean: f64,
     m2: f64,
     m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -25,7 +24,6 @@ impl Summary {
             mean: 0.0,
             m2: 0.0,
             m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -38,11 +36,8 @@ impl Summary {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
@@ -78,21 +73,14 @@ impl Summary {
         let delta = other.mean - self.mean;
         let delta2 = delta * delta;
         let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
         let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
         let m3 = self.m3
             + other.m3
             + delta3 * na * nb * (na - nb) / (n * n)
             + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
         self.mean += delta * nb / n;
         self.m2 = m2;
         self.m3 = m3;
-        self.m4 = m4;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -129,15 +117,6 @@ impl Summary {
         }
         let n = self.n as f64;
         (n.sqrt() * self.m3) / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis g2 = n*m4/m2² - 3.
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.n < 2 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
     }
 
     /// Minimum sample (∞ when empty).
@@ -198,7 +177,6 @@ mod tests {
         assert!(close(a.mean(), whole.mean(), 1e-12));
         assert!(close(a.variance(), whole.variance(), 1e-12));
         assert!(close(a.skewness(), whole.skewness(), 1e-10));
-        assert!(close(a.excess_kurtosis(), whole.excess_kurtosis(), 1e-10));
         assert_eq!(a.count(), whole.count());
     }
 
@@ -213,17 +191,6 @@ mod tests {
         e.merge(&before);
         assert_eq!(e.mean(), before.mean());
         assert_eq!(e.count(), 3);
-    }
-
-    #[test]
-    fn kurtosis_of_two_point_mass() {
-        // Symmetric two-point distribution has excess kurtosis -2.
-        let mut s = Summary::new();
-        for _ in 0..500 {
-            s.add(-1.0);
-            s.add(1.0);
-        }
-        assert!(close(s.excess_kurtosis(), -2.0, 1e-9));
     }
 
     #[test]

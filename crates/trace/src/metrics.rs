@@ -122,18 +122,6 @@ impl Registry {
         lock(&self.histograms).get(key).cloned()
     }
 
-    /// All histogram series of family `name`, merged — the cross-label
-    /// aggregate (e.g. every lane of `dwi_runtime_phase_seconds`).
-    pub fn histogram_family(&self, name: &str) -> Histogram {
-        let mut merged = Histogram::new();
-        for (key, h) in lock(&self.histograms).iter() {
-            if base_name(key) == name {
-                merged.merge(h);
-            }
-        }
-        merged
-    }
-
     /// The current value of counter `key` (full key, labels included).
     pub fn counter_value(&self, key: &str) -> Option<u64> {
         lock(&self.counters)
@@ -333,8 +321,6 @@ mod tests {
             .collect();
         assert!(buckets.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*buckets.last().unwrap(), 2.0);
-        // Family aggregate merges across label sets.
-        assert_eq!(r.histogram_family("phase_seconds").count(), 3);
         assert_eq!(
             r.histogram("phase_seconds{phase=\"merge\"}")
                 .unwrap()

@@ -3,7 +3,7 @@
 //! The runtime publishes its health through the same [`Registry`]
 //! (Prometheus) and [`Track`](crate::Track) (Chrome) paths the engines
 //! use. Family names live here — next to the exporters — so the runtime,
-//! the load generator, and the tests agree on the exposition format
+//! the benchmark, and the tests agree on the exposition format
 //! without string drift.
 //!
 //! [`Registry`]: crate::metrics::Registry

@@ -1,7 +1,7 @@
 //! Canonical metric-family names emitted by the `dwi-server` gateway.
 //!
 //! Like [`runtime_metrics`](crate::runtime_metrics), the names live next
-//! to the exporters so the gateway, the HTTP load generator, and the CI
+//! to the exporters so the gateway, the benchmark, and the CI
 //! smoke agree on the exposition format without string drift. The gateway
 //! shares one [`Registry`](crate::metrics::Registry) with the runtime it
 //! fronts, so `/metrics` exposes both the `dwi_server_*` families below

@@ -7,9 +7,10 @@
 
 use std::sync::Arc;
 
+use decoupled_workitems::core::graph::{GraphPlan, KernelGraph};
 use decoupled_workitems::core::{
     Backend, ExecutionPlan, FunctionalDecoupled, GammaListing2, PaperConfig, SeverityExpMix,
-    TruncatedNormalKernel, Workload,
+    SeverityScale, TruncatedNormalKernel, WindowAggregate, Workload,
 };
 use decoupled_workitems::runtime::{JobSpec, Priority, Runtime, RuntimeConfig, SharedKernel};
 use decoupled_workitems::trace::{ProcessKind, Recorder};
@@ -105,9 +106,9 @@ fn multi_tenant_session_matches_monolithic_and_exports_observability() {
 #[test]
 fn async_session_pipelines_paper_kernels_bit_identically() {
     // The async front-end through the facade: one client thread keeps a
-    // mixed bag of paper kernels in flight via try_submit, harvests them
-    // from the completion queue, and every report is bit-identical to a
-    // monolithic single-device run of the same kernel.
+    // mixed bag of paper kernels and credit-pipeline graphs in flight via
+    // try_submit, harvests them from the completion queue, and every
+    // report is bit-identical to a monolithic single-device run.
     let rec = Recorder::new();
     let rt = Runtime::new(RuntimeConfig::new(2).cache_capacity(0).trace(rec.sink()));
 
@@ -134,6 +135,23 @@ fn async_session_pipelines_paper_kernels_bit_identically() {
         })
         .collect();
 
+    // Credit-pipeline graph jobs ride the same session: severity →
+    // window aggregate → severity scale.
+    let graphs: Vec<(Arc<KernelGraph>, GraphPlan)> = (0..6u32)
+        .map(|i| {
+            let graph = KernelGraph::pipeline(
+                "credit-pipeline",
+                Arc::new(SeverityExpMix::credit_severity(128, i)),
+            )
+            .then(Arc::new(WindowAggregate::new(8)))
+            .then(Arc::new(SeverityScale::credit(i)));
+            (
+                Arc::new(graph),
+                GraphPlan::new(ExecutionPlan::new(1 + i % 3)),
+            )
+        })
+        .collect();
+
     let mut session = rt.session(0);
     let tickets: Vec<_> = jobs
         .iter()
@@ -141,24 +159,53 @@ fn async_session_pipelines_paper_kernels_bit_identically() {
         .map(|(i, (kernel, plan))| {
             session
                 .try_submit(JobSpec::kernel(0, kernel.clone(), plan.clone(), i as u64))
-                .expect("default queue bound admits 24 pipelined jobs")
+                .expect("default queue bound admits 30 pipelined jobs")
         })
         .collect();
-    assert_eq!(session.in_flight(), jobs.len());
+    let graph_tickets: Vec<_> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, (graph, plan))| {
+            session
+                .try_submit(JobSpec::graph(
+                    0,
+                    graph.clone(),
+                    plan.clone(),
+                    100 + i as u64,
+                ))
+                .expect("default queue bound admits 30 pipelined jobs")
+        })
+        .collect();
+    assert_eq!(session.in_flight(), jobs.len() + graphs.len());
 
     let mut results = std::collections::HashMap::new();
     while session.in_flight() > 0 {
         for done in session.wait_any(std::time::Duration::from_secs(30)) {
-            let report = done.result.expect("no deadlines set").into_report();
-            results.insert(done.ticket, report);
+            results.insert(done.ticket, done.result.expect("no deadlines set"));
         }
     }
     for (ticket, (kernel, plan)) in tickets.iter().zip(&jobs) {
-        let merged = &results[ticket];
+        let merged = results.remove(ticket).expect("harvested").into_report();
         let whole = FunctionalDecoupled.execute(kernel.as_ref(), plan);
         assert_eq!(merged.samples, whole.samples, "{}", kernel.name());
         assert_eq!(merged.cycles, whole.cycles, "{}", kernel.name());
         assert_eq!(merged.rejection, whole.rejection, "{}", kernel.name());
+    }
+    for (ticket, (graph, plan)) in graph_tickets.iter().zip(&graphs) {
+        let merged = results
+            .remove(ticket)
+            .expect("harvested")
+            .into_graph_report();
+        let whole = FunctionalDecoupled.run(graph, plan);
+        let name = graph.topology();
+        assert_eq!(whole.edges.len(), 2, "{name}");
+        assert_eq!(merged.final_samples(), whole.final_samples(), "{name}");
+        assert_eq!(
+            format!("{:?}", merged.edges),
+            format!("{:?}", whole.edges),
+            "{name}"
+        );
+        assert_eq!(merged.cycles, whole.cycles, "{name}");
     }
     drop(session);
     drop(rt);
