@@ -1,6 +1,6 @@
 //! The cycle-level dataflow simulation on the unified layer: the kernel
 //! runs functionally once to record its per-iteration emission trace, then
-//! `dwi-hls::sim` replays that trace cycle by cycle — FIFOs, bursts,
+//! `dwi-hls::sim` replays that trace to the cycle — FIFOs, bursts,
 //! channel arbitration and all.
 
 use super::{Backend, BackendDetail, ExecutionPlan, RunReport};
@@ -36,8 +36,10 @@ impl Backend for CycleSim {
         let mut rejection = RejectionStats::new();
         for wid in 0..n {
             let mut inst = kernel.instantiate(plan.wid_base + wid as u32);
-            let mut trace = Vec::new();
-            let mut vals = Vec::new();
+            // Every emission is one iteration, so the trace holds at
+            // least `quota` flags.
+            let mut trace = Vec::with_capacity(quota as usize);
+            let mut vals = Vec::with_capacity(quota as usize);
             let mut div = DivergenceCounts::default();
             loop {
                 let st = inst.step();

@@ -9,6 +9,19 @@
 //! propagates exactly as in the hardware and the work-items *shift in time*
 //! until compute and transfer fully overlap — the behaviour Fig. 3 sketches
 //! and this engine lets us observe cycle by cycle.
+//!
+//! The engine is exact to the cycle but steps from event to event.
+//! Work-items share nothing but the channel, so each one advances alone,
+//! on a clock of its own, until it waits for a grant (a ready burst and
+//! none in flight) or has delivered everything. Between those events whole
+//! phases run in closed form: while the fill buffer fills, the FIFO level
+//! follows from how many iterations accepted; while a full buffer waits,
+//! the FIFO fills to its depth and the remaining cycles are stalls. The
+//! channel's next grant is at the later of its free cycle and the earliest
+//! waiting work-item's cycle, to the first work-item in round-robin order
+//! waiting by then. Cycles, stalls, FIFO peaks and the burst schedule are
+//! exactly those of a loop that steps every work-item through every cycle;
+//! `tests/sim_oracle.rs` keeps that loop as the reference.
 
 use crate::memory::{BurstChannel, RNS_PER_BEAT};
 
@@ -96,63 +109,305 @@ impl SimResult {
     }
 }
 
-struct WorkItem {
-    produced: u64,  // RNs emitted by compute
-    delivered: u64, // RNs shipped to memory
-    fifo: u64,      // current FIFO occupancy
-    fifo_peak: u64,
+/// Where a compute stage's per-iteration accept decisions come from.
+trait Feed {
+    /// Whether the compute stage runs at all; transfers-only runs
+    /// (Fig. 7) bypass it and pack dummy data every cycle.
+    const COMPUTES: bool;
+
+    /// The accept flag of the compute stage's next non-stalled iteration.
+    fn accept(&mut self) -> bool;
+
+    /// Consume the next `k` iterations: how many accepted, and whether
+    /// the last one did.
+    fn take(&mut self, k: u64) -> (u64, bool) {
+        let (mut accepted, mut last) = (0, false);
+        for _ in 0..k {
+            last = self.accept();
+            accepted += u64::from(last);
+        }
+        (accepted, last)
+    }
+
+    /// Consume iterations until `want` of them accepted, or `max` ran:
+    /// how many ran, and how many accepted.
+    fn take_until(&mut self, max: u64, want: u64) -> (u64, u64) {
+        let (mut ran, mut accepted) = (0, 0);
+        while ran < max && accepted < want {
+            accepted += u64::from(self.accept());
+            ran += 1;
+        }
+        (ran, accepted)
+    }
+}
+
+/// The built-in LCG rejection model.
+struct Lcg {
+    state: u64,
+    threshold: u64,
+}
+
+impl Feed for Lcg {
+    const COMPUTES: bool = true;
+
+    #[inline]
+    fn accept(&mut self) -> bool {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.state >> 32) >= self.threshold
+    }
+}
+
+/// Recorded per-iteration accept flags from a real kernel execution:
+/// `bits[j]` is whether the work-item's `j`-th non-stalled compute cycle
+/// validated an output. Stalled cycles do **not** consume entries — the
+/// pipeline is frozen, not advancing.
+struct Trace<'a> {
+    wi: usize,
+    bits: &'a [bool],
+    cursor: usize,
+}
+
+impl Trace<'_> {
+    /// The next `n` entries, consumed.
+    fn next_n(&mut self, n: u64) -> &[bool] {
+        let rest = &self.bits[self.cursor..];
+        assert!(
+            n <= rest.len() as u64,
+            "work-item {}: iteration trace exhausted before quota",
+            self.wi
+        );
+        self.cursor += n as usize;
+        &rest[..n as usize]
+    }
+}
+
+impl Feed for Trace<'_> {
+    const COMPUTES: bool = true;
+
+    fn accept(&mut self) -> bool {
+        self.next_n(1)[0]
+    }
+
+    fn take(&mut self, k: u64) -> (u64, bool) {
+        let bits = self.next_n(k);
+        let accepted = bits.iter().map(|&b| u64::from(b)).sum();
+        (accepted, bits.last() == Some(&true))
+    }
+
+    fn take_until(&mut self, max: u64, want: u64) -> (u64, u64) {
+        if want == 0 {
+            return (0, 0);
+        }
+        let rest = &self.bits[self.cursor..];
+        let window = &rest[..rest.len().min(max.try_into().unwrap_or(usize::MAX))];
+        let mut accepted = 0;
+        let ran = window
+            .iter()
+            .position(|&b| {
+                accepted += u64::from(b);
+                accepted == want
+            })
+            .map_or(window.len(), |i| i + 1);
+        self.next_n(if accepted < want { max } else { ran as u64 });
+        (ran as u64, accepted)
+    }
+}
+
+/// Transfers-only: no compute stage.
+#[derive(Clone, Copy)]
+struct Bypass;
+
+impl Feed for Bypass {
+    const COMPUTES: bool = false;
+
+    fn accept(&mut self) -> bool {
+        unreachable!("transfers-only runs have no compute stage")
+    }
+}
+
+/// Run parameters every work-item's advance needs.
+struct Params {
+    burst_rns: u64,
+    fifo_depth: u64,
+    safety: u64,
+}
+
+/// One work-item: its compute stage, FIFO, transfer engine and the
+/// burst it has on the channel, on a clock of its own.
+struct WorkItem<F> {
+    /// The cycle whose transfer and compute steps run next: this cycle's
+    /// burst landing and channel arbitration are already applied.
+    t: u64,
+    target: u64,                   // RNs to deliver
+    produced: u64,                 // RNs emitted by compute
+    delivered: u64,                // RNs shipped to memory
+    fifo: u64,                     // current FIFO occupancy
+    fifo_peak: u64,                // peak FIFO occupancy
     buffered: u64,                 // RNs in the buffer currently being filled
     ready: Option<u64>,            // a full buffer waiting for a channel grant
     in_flight: Option<(u64, u64)>, // (end_cycle, rns) burst on the channel
     stalls: u64,
-    lcg: u64,
-    done_at: u64,
-    done: bool,
+    done: bool, // last burst landed, at cycle `t`
+    feed: F,
 }
 
-impl WorkItem {
-    fn remaining_to_buffer(&self, total: u64) -> u64 {
-        total
-            - self.delivered
-            - self.in_flight.map_or(0, |(_, r)| r)
-            - self.ready.unwrap_or(0)
-            - self.buffered
+impl<F: Feed> WorkItem<F> {
+    /// Eligible for the channel: a ready burst and none in flight. Only
+    /// a grant ends this state.
+    fn waiting(&self) -> bool {
+        self.ready.is_some() && self.in_flight.is_none()
     }
-}
 
-/// Where the compute stages' accept/reject decisions come from.
-enum AcceptSource<'a> {
-    /// The built-in LCG rejection model (legacy behaviour, bit-identical).
-    Lcg { threshold: u64 },
-    /// Recorded per-iteration accept flags from a real kernel execution:
-    /// `traces[i][j]` is whether work-item `i`'s `j`-th non-stalled compute
-    /// cycle validated an output. Stalled cycles do **not** consume trace
-    /// entries — the pipeline is frozen, not advancing.
-    Traces {
-        traces: &'a [Vec<bool>],
-        cursor: Vec<usize>,
-    },
-}
+    /// The size the fill buffer hands off at: a full burst, or the tail.
+    fn fill_target(&self, burst_rns: u64) -> u64 {
+        let handed_off =
+            self.delivered + self.in_flight.map_or(0, |(_, r)| r) + self.ready.unwrap_or(0);
+        burst_rns.min(self.target - handed_off)
+    }
 
-impl AcceptSource<'_> {
-    #[inline]
-    fn accept(&mut self, wi: usize, w: &mut WorkItem) -> bool {
-        match self {
-            AcceptSource::Lcg { threshold } => {
-                w.lcg = w
-                    .lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (w.lcg >> 32) >= *threshold
+    /// Advance alone until the channel matters again: waiting or done.
+    fn advance_to_event(&mut self, p: &Params) {
+        while !self.done && !self.waiting() {
+            self.advance_once(u64::MAX, p);
+        }
+    }
+
+    /// Advance a waiting work-item to cycle `until`, its grant.
+    fn advance_to(&mut self, until: u64, p: &Params) {
+        while self.t < until {
+            self.advance_once(until, p);
+        }
+    }
+
+    /// One bulk run of uneventful cycles, or else one single cycle; never
+    /// past cycle `limit`.
+    fn advance_once(&mut self, limit: u64, p: &Params) {
+        let k = self.uneventful_cycles(limit, p);
+        if k > 0 {
+            self.bulk(k, p);
+            self.t += k;
+        } else {
+            self.cycle(p);
+            self.t += 1;
+        }
+        // The run lasts at least until cycle `t` completes.
+        assert!(self.t + 1 < p.safety, "simulation failed to converge");
+    }
+
+    /// How many cycles from `t` on provably hand off no buffer, land no
+    /// burst and keep one phase (filling, or blocked on a full buffer).
+    fn uneventful_cycles(&self, limit: u64, p: &Params) -> u64 {
+        let mut k = (limit - self.t).min(p.safety.saturating_sub(self.t + 1));
+        if let Some((end, _)) = self.in_flight {
+            k = k.min(end.saturating_sub(self.t + 1));
+        }
+        let fill_target = self.fill_target(p.burst_rns);
+        if self.buffered < fill_target {
+            k = k.min(fill_target - 1 - self.buffered);
+            if F::COMPUTES && self.produced < self.target {
+                k = k.min(self.target - self.produced);
             }
-            AcceptSource::Traces { traces, cursor } => {
-                let j = cursor[wi];
-                assert!(
-                    j < traces[wi].len(),
-                    "work-item {wi}: iteration trace exhausted before quota"
-                );
-                cursor[wi] = j + 1;
-                traces[wi][j]
+        } else if fill_target > 0 && self.ready.is_none() {
+            k = 0; // the full buffer hands off this cycle
+        }
+        k
+    }
+
+    /// `k` uneventful cycles (see [`WorkItem::uneventful_cycles`]) in
+    /// closed form where the phase allows it.
+    fn bulk(&mut self, k: u64, p: &Params) {
+        if self.buffered < self.fill_target(p.burst_rns) {
+            if !F::COMPUTES {
+                self.buffered += k;
+                return;
+            }
+            if self.produced == self.target {
+                // Draining: compute is finished; the FIFO empties into
+                // the buffer.
+                let m = k.min(self.fifo);
+                self.fifo -= m;
+                self.buffered += m;
+                return;
+            }
+            if p.fifo_depth > 0 {
+                // Filling: the transfer engine drains an RN on every cycle
+                // that starts with one queued, so compute never stalls.
+                let mut left = k;
+                while left > 0 && self.fifo > 1 {
+                    // The next `fifo` cycles all start non-empty, and the
+                    // FIFO cannot climb above its level now (its peak).
+                    let c = left.min(self.fifo);
+                    let (accepted, _) = self.feed.take(c);
+                    self.fifo = self.fifo - c + accepted;
+                    self.buffered += c;
+                    self.produced += accepted;
+                    left -= c;
+                }
+                if left > 0 {
+                    // At most one RN queued: each cycle drains the one
+                    // the cycle before accepted, and the last stays queued.
+                    let (accepted, last) = self.feed.take(left);
+                    let last = u64::from(last);
+                    self.buffered += self.fifo + accepted - last;
+                    self.fifo = last;
+                    self.produced += accepted;
+                    self.fifo_peak = self.fifo_peak.max(u64::from(accepted > 0));
+                }
+                return;
+            }
+        }
+        // Blocked: nothing drains, so compute fills the FIFO to its depth
+        // and stalls for the remaining cycles.
+        if F::COMPUTES && self.produced < self.target {
+            let room = (p.fifo_depth - self.fifo).min(self.target - self.produced);
+            let (ran, accepted) = self.feed.take_until(k, room);
+            self.fifo += accepted;
+            self.produced += accepted;
+            self.fifo_peak = self.fifo_peak.max(self.fifo);
+            if self.produced < self.target {
+                self.stalls += k - ran;
+            }
+        }
+    }
+
+    /// The transfer and compute steps of cycle `t`, then cycle `t + 1`'s
+    /// burst landing.
+    fn cycle(&mut self, p: &Params) {
+        // Transfer engine: pack one RN per cycle into the fill buffer
+        // (TLOOP at II = 1), double-buffered against the in-flight burst.
+        let fill_target = self.fill_target(p.burst_rns);
+        if self.buffered < fill_target {
+            if !F::COMPUTES {
+                self.buffered += 1;
+            } else if self.fifo > 0 {
+                self.fifo -= 1;
+                self.buffered += 1;
+            }
+        }
+        if self.buffered >= fill_target && fill_target > 0 && self.ready.is_none() {
+            // Swap the filled buffer into the ready slot; filling of the
+            // next buffer resumes immediately (DEPENDENCE false).
+            self.ready = Some(self.buffered);
+            self.buffered = 0;
+        }
+        // Compute stage: one iteration per cycle (II = 1).
+        if F::COMPUTES && self.produced < self.target {
+            if self.fifo >= p.fifo_depth {
+                self.stalls += 1; // stream back-pressure stalls the pipeline
+            } else if self.feed.accept() {
+                self.fifo += 1;
+                self.fifo_peak = self.fifo_peak.max(self.fifo);
+                self.produced += 1;
+            }
+        }
+        if let Some((end, rns)) = self.in_flight {
+            if self.t + 1 >= end {
+                self.delivered += rns;
+                self.in_flight = None;
+                self.done = self.delivered >= self.target;
             }
         }
     }
@@ -161,15 +416,18 @@ impl AcceptSource<'_> {
 /// Run the cycle-level simulation with the built-in LCG rejection model.
 pub fn run(cfg: &SimConfig) -> SimResult {
     assert!((0.0..1.0).contains(&cfg.reject_prob));
-    let reject_threshold = (cfg.reject_prob * (1u64 << 32) as f64) as u64;
     let targets = vec![cfg.rns_per_workitem; cfg.n_workitems];
-    run_inner(
-        cfg,
-        AcceptSource::Lcg {
-            threshold: reject_threshold,
-        },
-        &targets,
-    )
+    if !cfg.compute_enabled {
+        return simulate(cfg, vec![Bypass; cfg.n_workitems], &targets);
+    }
+    let threshold = (cfg.reject_prob * (1u64 << 32) as f64) as u64;
+    let feeds = (0..cfg.n_workitems)
+        .map(|i| Lcg {
+            state: (cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((i as u64) << 32)) | 1,
+            threshold,
+        })
+        .collect();
+    simulate(cfg, feeds, &targets)
 }
 
 /// Run the cycle-level simulation driven by **recorded kernel iteration
@@ -192,25 +450,50 @@ pub fn run_from_traces(cfg: &SimConfig, traces: &[Vec<bool>]) -> SimResult {
         .iter()
         .map(|t| t.iter().filter(|&&ok| ok).count() as u64)
         .collect();
-    run_inner(
-        cfg,
-        AcceptSource::Traces {
-            traces,
-            cursor: vec![0; traces.len()],
-        },
-        &targets,
-    )
+    let feeds = traces
+        .iter()
+        .enumerate()
+        .map(|(wi, bits)| Trace {
+            wi,
+            bits,
+            cursor: 0,
+        })
+        .collect();
+    simulate(cfg, feeds, &targets)
 }
 
 /// Shared engine: `targets[i]` is the RN count work-item `i` must deliver.
-fn run_inner(cfg: &SimConfig, mut source: AcceptSource<'_>, targets: &[u64]) -> SimResult {
+///
+/// Work-items share nothing but the channel, so each advances alone until
+/// it waits for a grant or is done. The channel's next grant is then at
+/// the later of its free cycle and the earliest waiting work-item's cycle,
+/// and goes to the first work-item in round-robin order that is waiting
+/// by then — which that work-item catches up to before its grant.
+fn simulate<F: Feed>(cfg: &SimConfig, feeds: Vec<F>, targets: &[u64]) -> SimResult {
     assert!(cfg.n_workitems > 0, "need at least one work-item");
     assert!(
         cfg.burst_rns > 0 && cfg.burst_rns.is_multiple_of(RNS_PER_BEAT),
         "burst must be a whole number of 512-bit words"
     );
-    let mut wis: Vec<WorkItem> = (0..cfg.n_workitems)
-        .map(|i| WorkItem {
+    let occ = cfg.channel.burst_occupancy(cfg.burst_rns);
+    let max_target = targets.iter().copied().max().unwrap_or(0);
+    // Saturating: a target near `u64::MAX` must not wrap the bound small.
+    let p = Params {
+        burst_rns: cfg.burst_rns,
+        fifo_depth: cfg.fifo_depth as u64,
+        safety: (cfg.n_workitems as u64)
+            .saturating_mul(max_target)
+            .saturating_mul(occ + cfg.burst_rns)
+            / cfg.burst_rns.max(1)
+            * 8
+            + 4096,
+    };
+    let mut wis: Vec<WorkItem<F>> = feeds
+        .into_iter()
+        .zip(targets)
+        .map(|(feed, &target)| WorkItem {
+            t: 0,
+            target,
             produced: 0,
             delivered: 0,
             fifo: 0,
@@ -219,117 +502,55 @@ fn run_inner(cfg: &SimConfig, mut source: AcceptSource<'_>, targets: &[u64]) -> 
             ready: None,
             in_flight: None,
             stalls: 0,
-            lcg: (cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((i as u64) << 32)) | 1,
-            done_at: 0,
-            done: false,
+            // A zero-target work-item has nothing to deliver — done before
+            // cycle 0.
+            done: target == 0,
+            feed,
         })
         .collect();
-    // A zero-target work-item has nothing to deliver — done before cycle 0.
-    for (w, &target) in wis.iter_mut().zip(targets) {
-        if target == 0 {
-            w.done = true;
-        }
+    for w in &mut wis {
+        w.advance_to_event(&p);
     }
+    let n = wis.len();
     let mut channel_free_at = 0u64;
     let mut channel_busy = 0u64;
     let mut rr = 0usize; // round-robin arbitration pointer
     let mut bursts = Vec::new();
-    let mut cycle = 0u64;
-    let occ = cfg.channel.burst_occupancy(cfg.burst_rns);
-    let max_target = targets.iter().copied().max().unwrap_or(0);
-    // Saturating: a target near `u64::MAX` must not wrap the bound small.
-    let safety = (cfg.n_workitems as u64)
-        .saturating_mul(max_target)
-        .saturating_mul(occ + cfg.burst_rns)
-        / cfg.burst_rns.max(1)
-        * 8
-        + 4096;
-
-    while wis.iter().any(|w| !w.done) {
-        // --- complete in-flight bursts ---
-        for (w, &target) in wis.iter_mut().zip(targets) {
-            if let Some((end, rns)) = w.in_flight {
-                if cycle >= end {
-                    w.delivered += rns;
-                    w.in_flight = None;
-                    if w.delivered >= target && !w.done {
-                        w.done = true;
-                        w.done_at = cycle;
-                    }
-                }
-            }
+    while let Some(first) = wis.iter().filter(|w| !w.done).map(|w| w.t).min() {
+        let grant = first.max(channel_free_at);
+        let idx = (0..n)
+            .map(|k| (rr + k) % n)
+            .find(|&i| !wis[i].done && wis[i].t <= grant)
+            .expect("the earliest waiting work-item is eligible");
+        let w = &mut wis[idx];
+        w.advance_to(grant, &p);
+        let rns = w
+            .ready
+            .take()
+            .expect("waiting work-items hold a ready burst");
+        let end = grant + occ;
+        w.in_flight = Some((end, rns));
+        channel_free_at = end;
+        channel_busy += occ;
+        if cfg.trace {
+            bursts.push(BurstEvent {
+                wid: idx,
+                start: grant,
+                end,
+            });
         }
-        // --- channel arbitration: one grant per free slot, round-robin ---
-        if cycle >= channel_free_at {
-            for k in 0..wis.len() {
-                let idx = (rr + k) % wis.len();
-                let can_go = wis[idx].ready.is_some() && wis[idx].in_flight.is_none();
-                if can_go {
-                    let rns = wis[idx].ready.take().expect("checked above");
-                    let end = cycle + occ;
-                    wis[idx].in_flight = Some((end, rns));
-                    channel_free_at = end;
-                    channel_busy += occ;
-                    if cfg.trace {
-                        bursts.push(BurstEvent {
-                            wid: idx,
-                            start: cycle,
-                            end,
-                        });
-                    }
-                    rr = (idx + 1) % wis.len();
-                    break;
-                }
-            }
-        }
-        // --- transfer engines: pack one RN per cycle into the fill buffer
-        //     (TLOOP at II = 1), double-buffered against the in-flight burst ---
-        for (w, &target) in wis.iter_mut().zip(targets) {
-            if w.done {
-                continue;
-            }
-            let remaining = w.remaining_to_buffer(target);
-            let target = cfg.burst_rns.min(remaining + w.buffered);
-            if w.buffered < target {
-                let avail = if cfg.compute_enabled { w.fifo } else { 1 };
-                if avail > 0 {
-                    if cfg.compute_enabled {
-                        w.fifo -= 1;
-                    }
-                    w.buffered += 1;
-                }
-            }
-            if w.buffered >= target && target > 0 && w.ready.is_none() {
-                // Swap the filled buffer into the ready slot; filling of the
-                // next buffer resumes immediately (DEPENDENCE false).
-                w.ready = Some(w.buffered);
-                w.buffered = 0;
-            }
-        }
-        // --- compute stages: one iteration per cycle (II = 1) ---
-        if cfg.compute_enabled {
-            for (wi, (w, &target)) in wis.iter_mut().zip(targets).enumerate() {
-                if w.produced >= target {
-                    continue;
-                }
-                if w.fifo >= cfg.fifo_depth as u64 {
-                    w.stalls += 1; // stream back-pressure stalls the pipeline
-                    continue;
-                }
-                if source.accept(wi, w) {
-                    w.fifo += 1;
-                    w.fifo_peak = w.fifo_peak.max(w.fifo);
-                    w.produced += 1;
-                }
-            }
-        }
-        cycle += 1;
-        assert!(cycle < safety, "simulation failed to converge");
+        rr = (idx + 1) % n;
+        w.advance_to_event(&p);
     }
 
     SimResult {
-        cycles: cycle,
-        per_wi_done: wis.iter().map(|w| w.done_at).collect(),
+        cycles: wis
+            .iter()
+            .filter(|w| w.target > 0)
+            .map(|w| w.t + 1)
+            .max()
+            .unwrap_or(0),
+        per_wi_done: wis.iter().map(|w| w.t).collect(),
         channel_busy,
         compute_stalls: wis.iter().map(|w| w.stalls).collect(),
         fifo_high_water: wis.iter().map(|w| w.fifo_peak as usize).collect(),

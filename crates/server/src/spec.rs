@@ -30,7 +30,10 @@ use dwi_trace::json::{escape_str, parse, Json};
 /// so an unbounded product aborts the process on a failed allocation
 /// instead of failing the job. 2^26 `f32` samples is 256 MiB per buffer,
 /// several hundred times the largest job a table, figure or benchmark
-/// pool submits (a 100,000-sample calibration).
+/// pool submits (a 100,000-sample calibration). A `sim` job is held to
+/// the same number of compute iterations, `workitems ×
+/// max(rns_per_workitem, 1) / (1 − reject_prob)`: 32 times Fig. 7's
+/// 8 × 262,144-RN cross-check.
 const MAX_JOB_SAMPLES: u64 = 1 << 26;
 
 /// One parsed submission, ready for the runtime's front door.
@@ -129,19 +132,19 @@ fn mt_params(v: &Json) -> Result<MtParams, String> {
         Json::Str(s) if s == "mt19937" => MT19937,
         Json::Str(s) if s == "mt521" => MT521,
         Json::Obj(_) => MtParams {
-            exponent: uint(v, "exponent")? as u32,
+            exponent: uint32(v, "exponent")?,
             n: uint(v, "n")? as usize,
             m: uint(v, "m")? as usize,
-            r: uint(v, "r")? as u32,
-            a: uint(v, "a")? as u32,
-            u: uint(v, "u")? as u32,
-            d: uint(v, "d")? as u32,
-            s: uint(v, "s")? as u32,
-            b: uint(v, "b")? as u32,
-            t: uint(v, "t")? as u32,
-            c: uint(v, "c")? as u32,
-            l: uint(v, "l")? as u32,
-            f: uint(v, "f")? as u32,
+            r: uint32(v, "r")?,
+            a: uint32(v, "a")?,
+            u: uint32(v, "u")?,
+            d: uint32(v, "d")?,
+            s: uint32(v, "s")?,
+            b: uint32(v, "b")?,
+            t: uint32(v, "t")?,
+            c: uint32(v, "c")?,
+            l: uint32(v, "l")?,
+            f: uint32(v, "f")?,
         },
         _ => return Err("field 'mt' must be \"mt19937\", \"mt521\", or a parameter object".into()),
     };
@@ -199,7 +202,7 @@ fn build_source(k: &Json) -> Result<dwi_core::SharedWorkItemKernel, String> {
             Ok(Arc::new(TruncatedNormalKernel::new(
                 a,
                 quota(k)?,
-                uint(k, "seed")? as u32,
+                uint32(k, "seed")?,
             )))
         }
         "severity-exp-mix" => {
@@ -209,7 +212,7 @@ fn build_source(k: &Json) -> Result<dwi_core::SharedWorkItemKernel, String> {
                 lambda1,
                 lambda2,
                 quota(k)?,
-                uint(k, "seed")? as u32,
+                uint32(k, "seed")?,
             )))
         }
         "calibration" => {
@@ -261,7 +264,7 @@ pub fn build_graph(spec: &Json) -> Result<KernelGraph, String> {
     for stage in stages {
         graph = match str_field(stage, "type")? {
             "window-aggregate" => {
-                let w = uint(stage, "window")? as u32;
+                let w = uint32(stage, "window")?;
                 if w < 1 {
                     return Err("window must be at least 1".into());
                 }
@@ -273,7 +276,7 @@ pub fn build_graph(spec: &Json) -> Result<KernelGraph, String> {
                     w,
                     lambda1,
                     lambda2,
-                    uint(stage, "seed")? as u32,
+                    uint32(stage, "seed")?,
                 )))
             }
             other => return Err(format!("unknown stage type '{other}'")),
@@ -390,14 +393,30 @@ fn sim_config(s: &Json) -> Result<SimConfig, String> {
         None | Some(Json::Null) => 1,
         Some(_) => uint(s, "seed")?,
     };
+    let workitems = positive_u32(s, "workitems")?;
+    let rns_per_workitem = uint(s, "rns_per_workitem")?;
+    let compute_enabled = matches!(s.get("compute"), Some(Json::Bool(true)));
+    // The simulator's work: compute iterations (RNs over the accept rate)
+    // plus one state per work-item, allocated before the first cycle.
+    let accept_rate = if compute_enabled {
+        1.0 - reject_prob
+    } else {
+        1.0
+    };
+    if f64::from(workitems) * rns_per_workitem.max(1) as f64 / accept_rate > MAX_JOB_SAMPLES as f64
+    {
+        return Err(format!(
+            "workitems x rns_per_workitem / (1 - reject_prob) exceeds the per-job budget of {MAX_JOB_SAMPLES}"
+        ));
+    }
     Ok(SimConfig {
-        n_workitems: positive_u32(s, "workitems")? as usize,
-        rns_per_workitem: uint(s, "rns_per_workitem")?,
+        n_workitems: workitems as usize,
+        rns_per_workitem,
         reject_prob,
         fifo_depth: fifo_depth as usize,
         burst_rns: u64::from(burst),
         channel: burst_channel(s.get("channel"))?,
-        compute_enabled: matches!(s.get("compute"), Some(Json::Bool(true))),
+        compute_enabled,
         seed,
         trace: false,
     })
@@ -720,5 +739,66 @@ mod tests {
         rejected(&wide, "per-job budget");
         let at_budget = tn("1.5", "65536").replace(r#""workitems": 1"#, r#""workitems": 1024"#);
         assert!(parse_job(&at_budget).is_ok());
+    }
+
+    #[test]
+    fn sim_jobs_over_the_work_budget_are_rejected() {
+        let sim = |fields: &str| format!(r#"{{"sim": {{{fields}}}}}"#);
+        // Transfers-only: 256 × 262,144 RNs is the budget exactly.
+        assert!(parse_job(&sim(r#""workitems": 256, "rns_per_workitem": 262144"#)).is_ok());
+        rejected(
+            &sim(r#""workitems": 257, "rns_per_workitem": 262144"#),
+            "per-job budget",
+        );
+        // With compute on, rejected iterations count too.
+        let half = r#""rns_per_workitem": 262144, "compute": true, "reject_prob": 0.5"#;
+        assert!(parse_job(&sim(&format!(r#""workitems": 128, {half}"#))).is_ok());
+        rejected(
+            &sim(&format!(r#""workitems": 129, {half}"#)),
+            "per-job budget",
+        );
+        // A work-item costs a slot even with nothing to deliver.
+        rejected(
+            &sim(r#""workitems": 4294967295, "rns_per_workitem": 0"#),
+            "per-job budget",
+        );
+    }
+
+    #[test]
+    fn u32_fields_past_u32_max_are_rejected_not_wrapped() {
+        // 2^32 + 7 used to draw seed 7's stream, and a window of 2^32 + 2
+        // ran as window 2.
+        let seed = tn("1.5", "8").replace(r#""seed": 1"#, r#""seed": 4294967303"#);
+        rejected(&seed, "exceeds");
+        rejected(
+            &mix("0.5", "2", "0.5").replace(r#""seed": 1"#, r#""seed": 4294967303"#),
+            "exceeds",
+        );
+        let stage = |stage: &str| {
+            format!(
+                r#"{{"kernel": {{"type": "truncated-normal", "a": 1.5, "quota": 8, "seed": 1}},
+                    "stages": [{stage}], "plan": {{"workitems": 1}}}}"#
+            )
+        };
+        rejected(
+            &stage(r#"{"type": "window-aggregate", "window": 4294967298}"#),
+            "exceeds",
+        );
+        rejected(
+            &stage(
+                r#"{"type": "severity-scale", "w": 0.5, "lambda1": 2.0, "lambda2": 0.5,
+                    "seed": 4294967303}"#,
+            ),
+            "exceeds",
+        );
+        // MT19937's tempering mask plus 2^32 used to run as MT19937.
+        let b = format!(r#""b":{}"#, MT19937.b);
+        let mt = mt_params_json(&MT19937)
+            .replace(&b, &format!(r#""b":{}"#, u64::from(MT19937.b) + (1 << 32)));
+        let calibration = format!(
+            r#"{{"kernel": {{"type": "calibration", "normal": "marsaglia-bray", "mt": {mt},
+                "sector_variance": 4.0, "samples": 100}}, "plan": {{"workitems": 1}}}}"#
+        );
+        rejected(&calibration, "exceeds");
     }
 }

@@ -307,6 +307,54 @@ fn invalid_sim_specs_get_400() {
 }
 
 #[test]
+fn sim_jobs_over_the_work_budget_get_400() {
+    // The simulator allocates per-work-item state before its first cycle,
+    // so the first two aborted the process on a failed allocation after a
+    // `202`; the last two kept the only worker busy for years.
+    let gw = start_gateway(1);
+    for spec in [
+        r#"{"sim":{"workitems":4294967295,"rns_per_workitem":64}}"#,
+        r#"{"sim":{"workitems":4294967295,"rns_per_workitem":0}}"#,
+        r#"{"sim":{"workitems":1,"rns_per_workitem":1e15}}"#,
+        r#"{"sim":{"workitems":1,"rns_per_workitem":1e15,"compute":true,"reject_prob":0.5}}"#,
+    ] {
+        refused_and_worker_survives(&gw, spec);
+    }
+    // Fig. 7's cross-check point, as `fig7 --http` submits it.
+    let result = submit_and_wait(
+        &gw,
+        r#"{"sim":{"workitems":8,"rns_per_workitem":262144,"channel":"config34","seed":1}}"#,
+    );
+    let cfg = SimConfig {
+        n_workitems: 8,
+        rns_per_workitem: 262_144,
+        reject_prob: 0.0,
+        fifo_depth: 64,
+        burst_rns: 256,
+        channel: BurstChannel::config34(),
+        compute_enabled: false,
+        seed: 1,
+        trace: false,
+    };
+    assert_eq!(u64_field(&result, "cycles"), run(&cfg).cycles);
+    gw.stop();
+}
+
+#[test]
+fn u32_fields_past_u32_max_get_400() {
+    // These used to wrap silently: a window of 2^32 + 2 ran as window 2,
+    // and seed 2^32 + 7 drew seed 7's stream.
+    let gw = start_gateway(1);
+    for spec in [
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":8,"seed":1},"stages":[{"type":"window-aggregate","window":4294967298}],"plan":{"workitems":1}}"#,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":8,"seed":4294967303},"plan":{"workitems":1}}"#,
+    ] {
+        refused_and_worker_survives(&gw, spec);
+    }
+    gw.stop();
+}
+
+#[test]
 fn huge_fifo_depths_do_not_abort_the_server() {
     // Each depth used to reserve its whole capacity up front, so these
     // specs aborted the process on a failed allocation. A FIFO now
