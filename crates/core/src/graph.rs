@@ -6,9 +6,9 @@
 //! exactly one kernel, so composite workloads had to round-trip intermediate
 //! results through the host. This module closes that gap: a [`KernelGraph`]
 //! chains a source [`WorkItemKernel`] through downstream [`StageKernel`]s
-//! connected by the existing [`dwi_hls::stream`] bounded FIFOs, and every
-//! backend executes the whole pipeline through [`Backend::run`] — the
-//! single-kernel job is simply the trivial one-node graph.
+//! connected by bounded FIFOs, and every backend executes the whole
+//! pipeline through [`Backend::run`] — the single-kernel job is simply the
+//! trivial one-node graph.
 //!
 //! Three artifacts generalize the single-kernel spine:
 //!
@@ -24,14 +24,22 @@
 //!   per-edge transfer/stall/occupancy accounting from the streamed pass and
 //!   a [`GraphDataflow`] cost model from the [`dwi_hls::dataflow`] stepper.
 //! * [`execute`] is the engine-independent executor: for a multi-stage graph
-//!   it runs the pipeline *twice* — once cooperatively through real
-//!   [`Stream`] FIFOs (the pipe-connected execution, which also measures
+//!   it runs the pipeline *twice* — once cooperatively through bounded
+//!   FIFOs (the pipe-connected execution, which also measures
 //!   back-pressure), and once stage-by-stage through the backend on recorded
 //!   upstream samples (host-mediated composition, which supplies the
 //!   per-stage [`BackendDetail`](crate::backend::BackendDetail)) — and
 //!   asserts the two produce bit-identical sample streams. The equivalence
 //!   the paper's pipes transformation relies on is therefore checked on
 //!   every single execution, not just in a test.
+//!
+//! The cooperative pass steps every stage of a work-item's chain on one
+//! thread, so its FIFOs are plain bounded rings rather than the blocking
+//! [`dwi_hls::stream`] FIFOs that couple stages running on threads of
+//! their own: the scheduler's gates give the same blocking semantics
+//! (a full FIFO stalls the writer, an empty one the reader), and a lock
+//! and condition variable per token cost several times what the stages
+//! themselves do.
 //!
 //! Determinism contract for stages: a [`StageInstance`] may [`pull`]
 //! (consume one upstream token) **at most once per step**, and `pull`
@@ -43,13 +51,13 @@
 //!
 //! [`pull`]: StageInput::pull
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, ExecutionPlan, RunReport};
 use crate::kernel::{KernelInstance, SharedWorkItemKernel, Step, WorkItemKernel};
 use dwi_hls::dataflow::{DataflowGraph, DataflowResult};
-use dwi_hls::stream::{Consumer, Stream};
 use dwi_rng::RejectionStats;
 
 /// The upstream endpoint a downstream stage reads during one step.
@@ -662,7 +670,7 @@ impl StageInput for SlicePull<'_> {
 /// "upstream exhausted" meaning [`SlicePull`] gives — a stage cannot
 /// observe scheduling.
 struct FifoPull<'a> {
-    cons: &'a Consumer<f32>,
+    fifo: &'a mut VecDeque<f32>,
     upstream_done: bool,
     pulled: &'a mut u64,
     used: bool,
@@ -672,7 +680,7 @@ impl StageInput for FifoPull<'_> {
     fn pull(&mut self) -> Option<f32> {
         assert!(!self.used, "stage pulled more than once in one step");
         self.used = true;
-        match self.cons.try_read() {
+        match self.fifo.pop_front() {
             Some(v) => {
                 *self.pulled += 1;
                 Some(v)
@@ -782,11 +790,19 @@ struct StreamedPass {
 }
 
 /// The pipe-connected pass: for each work-item, instantiate the whole
-/// chain, couple adjacent stages with a bounded [`Stream`], and schedule
+/// chain, couple adjacent stages with a bounded FIFO, and schedule
 /// cooperatively in pipeline order. A stage is stepped only when its
 /// output FIFO has space (back-pressure) and its input FIFO holds a token
 /// or the upstream stage has finished (no spurious `None`s) — blocked
 /// rounds are counted as the edge's write/read stalls.
+///
+/// One thread runs every stage of the chain, so each edge is a plain
+/// `VecDeque` ring owned by this function, bounded at `depth` by the
+/// scheduler's write gate: the blocking [`dwi_hls::stream`] FIFOs are for
+/// stages on threads of their own, and a lock and condition variable per
+/// token would cost several times what the stages do. The rings are
+/// reserved once, at `min(depth, quota)`, and emptied between
+/// work-items.
 fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
     let nodes = graph.len();
     let depth = plan.depth();
@@ -800,6 +816,10 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
             ..EdgeReport::default()
         })
         .collect();
+    let mut fifos: Vec<VecDeque<f32>> = graph.quotas()[..nodes - 1]
+        .iter()
+        .map(|&quota| VecDeque::with_capacity(depth.min(quota as usize)))
+        .collect();
 
     for w in 0..plan.base.workitems {
         let wid = plan.base.wid_base + w;
@@ -808,10 +828,6 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
         for stage in &graph.stages {
             insts.push(NodeInst::Stage(stage.instantiate(wid)));
         }
-        let (prods, conss): (Vec<_>, Vec<_>) = graph.quotas()[..nodes - 1]
-            .iter()
-            .map(|&quota| Stream::<f32>::with_depth_reserving(depth, quota as usize))
-            .unzip();
         let mut done = vec![false; nodes];
         let mut steps = vec![0u64; nodes];
         for s in &mut samples {
@@ -825,12 +841,12 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
                 }
                 // Back-pressure: a full FIFO (with a live consumer) blocks
                 // the producer, exactly as the blocking write would.
-                if k + 1 < nodes && !done[k + 1] && conss[k].len() >= depth {
+                if k + 1 < nodes && !done[k + 1] && fifos[k].len() >= depth {
                     edges[k].write_stalls += 1;
                     continue;
                 }
                 // Starvation: no token and the producer is still live.
-                if k > 0 && !done[k - 1] && conss[k - 1].is_empty() {
+                if k > 0 && !done[k - 1] && fifos[k - 1].is_empty() {
                     edges[k - 1].read_stalls += 1;
                     continue;
                 }
@@ -838,7 +854,7 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
                     NodeInst::Source(inst) => inst.step(),
                     NodeInst::Stage(inst) => {
                         let mut input = FifoPull {
-                            cons: &conss[k - 1],
+                            fifo: &mut fifos[k - 1],
                             upstream_done: done[k - 1],
                             pulled: &mut edges[k - 1].pulled,
                             used: false,
@@ -860,8 +876,11 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
                             // truncation): the emission has nowhere to go.
                             edges[k].dropped += 1;
                         } else {
-                            prods[k].try_write(v).expect("write gated on space");
+                            let fifo = &mut fifos[k];
+                            assert!(fifo.len() < depth, "write gated on space");
+                            fifo.push_back(v);
                             edges[k].pushed += 1;
+                            edges[k].high_water = edges[k].high_water.max(fifo.len());
                         }
                     }
                 }
@@ -878,9 +897,9 @@ fn streamed_pass(graph: &KernelGraph, plan: &GraphPlan) -> StreamedPass {
                 "kernel graph stalled: no stage can make progress (work-item {wid})"
             );
         }
-        for (k, cons) in conss.iter().enumerate() {
-            edges[k].residue += cons.len() as u64;
-            edges[k].high_water = edges[k].high_water.max(cons.high_water());
+        for (edge, fifo) in edges.iter_mut().zip(&mut fifos) {
+            edge.residue += fifo.len() as u64;
+            fifo.clear();
         }
     }
     StreamedPass { samples, edges }

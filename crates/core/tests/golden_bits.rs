@@ -8,11 +8,14 @@
 //! meant to keep the output identical must pass this file unchanged; one
 //! that is meant to change the output must say so and record new values.
 
+use std::sync::Arc;
+
 use dwi_core::graph::GraphPlan;
 use dwi_core::kernel::reference_samples;
 use dwi_core::{
     credit_pipeline, Backend, Digest, ExecutionPlan, FunctionalDecoupled, GammaListing2,
-    PaperConfig, TruncatedNormalKernel, Workload,
+    GraphReport, KernelGraph, PaperConfig, SeverityExpMix, SeverityScale, TruncatedNormalKernel,
+    WindowAggregate, Workload,
 };
 use dwi_rng::KernelConfig;
 
@@ -105,5 +108,122 @@ fn creditrisk_pipeline_stage_samples() {
         got,
         GOLDEN.map(hex).to_vec(),
         "CreditRisk+ stage output bits moved"
+    );
+}
+
+/// The serving path's CreditRisk+ graph: severity mixture → window-8
+/// aggregate → severity scale, one seed for source and scale.
+fn serve_credit(quota: u64) -> KernelGraph {
+    KernelGraph::pipeline(
+        "serve-credit",
+        Arc::new(SeverityExpMix::credit_severity(quota, 0x00C4_ED17)),
+    )
+    .then(Arc::new(WindowAggregate::new(8)))
+    .then(Arc::new(SeverityScale::credit(0x00C4_ED17)))
+}
+
+/// Everything a graph report accounts besides the samples: each edge's
+/// ledger, the dataflow model and the modeled cycles.
+fn accounting(r: &GraphReport) -> u64 {
+    let mut d = Digest::new().usize(r.edges.len());
+    for e in &r.edges {
+        d = [e.pushed, e.pulled, e.residue, e.dropped]
+            .into_iter()
+            .chain([e.write_stalls, e.read_stalls])
+            .fold(d.usize(e.depth), Digest::u64)
+            .usize(e.high_water);
+    }
+    let df = r.dataflow.as_ref().expect("multi-stage report");
+    d = d.u64(df.cycles);
+    for v in [
+        &df.stage_ii,
+        &df.stage_firings,
+        &df.stage_stalls,
+        &df.edge_tokens,
+    ] {
+        d = v.iter().fold(d.usize(v.len()), |d, &x| d.u64(x));
+    }
+    d = df
+        .edge_high_water
+        .iter()
+        .fold(d.usize(df.edge_high_water.len()), |d, &x| d.usize(x));
+    d.u64(r.cycles).finish()
+}
+
+#[test]
+fn creditrisk_graph_accounting() {
+    // Quotas 256/512/1024 are the HTTP benchmark's; 1001 leaves a window
+    // remainder on the first edge. Three work-items, so the edge
+    // high-water is a maximum over chains.
+    const QUOTAS: [u64; 4] = [256, 512, 1024, 1001];
+    const DEPTHS: [usize; 5] = [1, 2, 8, 16, 64];
+    const GOLDEN: [[u64; 5]; 4] = [
+        [
+            0x1607_e627_6c5d_6ebc,
+            0x585b_6ea5_949c_8957,
+            0xb04a_406d_156c_1fc7,
+            0x502c_a95b_8beb_cfd7,
+            0x5bbd_5f66_cdfb_dfd7,
+        ],
+        [
+            0x4b20_de46_f29f_b21b,
+            0x2b65_ea42_4d07_9b07,
+            0xdca4_6eb7_e421_8517,
+            0x7f54_1df5_fd41_2c97,
+            0x6a6c_be94_8f6a_9cb7,
+        ],
+        [
+            0xf7e9_874e_0f6b_e12b,
+            0xbdf2_c24e_9923_2189,
+            0x8bd5_fdff_4294_e1ed,
+            0x0c25_85eb_6b44_ca7d,
+            0x842b_9f4c_d806_0c9d,
+        ],
+        [
+            0x182d_1597_4cba_e04d,
+            0x9d4b_3834_c89f_c436,
+            0xf04a_7d99_e7a4_4ae2,
+            0xd70b_4494_37f9_1402,
+            0x695d_7f02_0942_98c2,
+        ],
+    ];
+    const GOLDEN_AUTO: [usize; 4] = [16; 4];
+    // The auto pick is depth 16, so the merge must equal the monolithic
+    // depth-16 column above.
+    const GOLDEN_MERGED: [u64; 4] = [
+        0x502c_a95b_8beb_cfd7,
+        0x7f54_1df5_fd41_2c97,
+        0x0c25_85eb_6b44_ca7d,
+        0xd70b_4494_37f9_1402,
+    ];
+    let plan = GraphPlan::new(ExecutionPlan::new(3));
+    let mut got = [[0u64; 5]; 4];
+    let mut auto = [0usize; 4];
+    let mut merged = [0u64; 4];
+    for (qi, &quota) in QUOTAS.iter().enumerate() {
+        let graph = serve_credit(quota);
+        for (di, &depth) in DEPTHS.iter().enumerate() {
+            let r = FunctionalDecoupled.run(&graph, &plan.clone().edge_depth(depth));
+            got[qi][di] = accounting(&r);
+        }
+        let picked = plan.clone().auto_edge_depth(&graph);
+        auto[qi] = picked.depth();
+        let shards = picked
+            .split(3)
+            .iter()
+            .map(|p| FunctionalDecoupled.run(&graph, p))
+            .collect();
+        merged[qi] = accounting(&GraphReport::merge(&graph, &picked, shards));
+    }
+    assert_eq!(auto, GOLDEN_AUTO, "auto_edge_depth picks moved");
+    assert_eq!(
+        got.map(|r| r.map(hex)),
+        GOLDEN.map(|r| r.map(hex)),
+        "graph accounting moved"
+    );
+    assert_eq!(
+        merged.map(hex),
+        GOLDEN_MERGED.map(hex),
+        "3-shard merged graph accounting moved"
     );
 }

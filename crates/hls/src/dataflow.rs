@@ -16,8 +16,26 @@
 //!   availability delayed by the FIFO's one-cycle visibility);
 //! * sources fire a bounded number of times; the run ends when all sinks
 //!   have consumed their quota.
-
-use std::collections::VecDeque;
+//!
+//! Each edge is kept as an occupancy count, not a queue of tokens. The
+//! one-cycle visibility needs no per-token stamp: every cycle decides all
+//! firings before any token moves, so a token produced on cycle `c` is
+//! first looked at on cycle `c + 1`, exactly when it becomes visible.
+//! Every queued token is therefore visible whenever a node checks its
+//! inputs, and "holds its consume count" is `occupancy >= rate`.
+//! `tests/dataflow_oracle.rs` keeps the stamp-per-token stepper as the
+//! reference.
+//!
+//! Not every cycle of a run is stepped, though. The next firings depend only on which nodes are exhausted, how long
+//! each II timer has left and each edge's occupancy. Once that state
+//! repeats — a rated chain settles into a period soon after its FIFOs
+//! fill — the run moves on by whole periods at once, adding each node's
+//! firings and stalls and each edge's tokens per period, for as long as
+//! every budgeted node stays at least one firing short of its budget
+//! and the cycle guard is not reached. Peak occupancies cannot change
+//! in a repeat, and the tail is stepped again. The result is the
+//! stepped one; the oracle sweep checks that on chains long enough to
+//! settle.
 
 /// A FIFO edge identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,10 +46,10 @@ pub struct EdgeId(usize);
 pub struct NodeId(usize);
 
 struct Edge {
-    queue: VecDeque<u64>, // cycle at which the token becomes visible
+    /// Tokens queued; all of them are visible when firings are decided.
+    occupancy: usize,
     capacity: usize,
     produced: u64,
-    consumed: u64,
     /// Peak occupancy — the FIFO-sizing signal HLS depth reports give.
     high_water: usize,
 }
@@ -83,10 +101,9 @@ impl DataflowGraph {
     pub fn edge(&mut self, capacity: usize) -> EdgeId {
         assert!(capacity >= 1);
         self.edges.push(Edge {
-            queue: VecDeque::new(),
+            occupancy: 0,
             capacity,
             produced: 0,
-            consumed: 0,
             high_water: 0,
         });
         EdgeId(self.edges.len() - 1)
@@ -156,18 +173,35 @@ impl DataflowGraph {
     /// deadlock); returns the cycle report. Panics on exceeding `max_cycles`
     /// (deadlock guard).
     pub fn run(&mut self, max_cycles: u64) -> DataflowResult {
+        self.simulate(max_cycles).0
+    }
+
+    /// [`run`](Self::run), also returning how many cycles were skipped
+    /// as whole periods of a repeating state (see the module doc).
+    fn simulate(&mut self, max_cycles: u64) -> (DataflowResult, u64) {
         let mut cycle = 0u64;
+        let mut skipped = 0u64;
         // Quiescence bound: once nothing has fired for `max_ii` consecutive
         // cycles, every II timer has expired and every token is visible, so
         // the state can never change again.
         let max_ii = self.nodes.iter().map(|n| n.ii).max().unwrap_or(1);
         let mut idle = 0u64;
+        let Self { nodes, edges } = self;
+        // Two-phase: decide firings on this cycle's visible state.
+        let mut firing: Vec<bool> = vec![false; nodes.len()];
+        // Period detection (Brent): compare each cycle's state with a
+        // snapshot retaken after 1, 2, 4, … cycles, so any period is
+        // found soon after the state starts repeating.
+        let mut snap = Snapshot::default();
+        snap.take(0, nodes, edges);
+        let mut power = 1u64;
         loop {
             let mut fired_any = false;
             let mut can_ever_fire = false;
-            // Two-phase: decide firings on this cycle's visible state.
-            let mut firing: Vec<bool> = vec![false; self.nodes.len()];
-            for (i, node) in self.nodes.iter().enumerate() {
+            // A node's decision reads only its own state and the edges,
+            // which nothing changes before the movement phase below.
+            for (node, fires) in nodes.iter_mut().zip(&mut firing) {
+                *fires = false;
                 if node.budget == Some(node.fired) {
                     continue; // exhausted
                 }
@@ -175,51 +209,36 @@ impl DataflowGraph {
                 if cycle < node.next_ready {
                     continue;
                 }
-                let inputs_ok = node.inputs.iter().all(|&(EdgeId(e), rate)| {
-                    // Queue is push-ordered, so visible tokens are a prefix.
-                    self.edges[e]
-                        .queue
-                        .iter()
-                        .take(rate as usize)
-                        .filter(|&&vis| vis <= cycle)
-                        .count() as u64
-                        >= rate
-                });
+                let inputs_ok = node
+                    .inputs
+                    .iter()
+                    .all(|&(EdgeId(e), rate)| edges[e].occupancy as u64 >= rate);
                 let outputs_ok = node.outputs.iter().all(|&(EdgeId(e), rate)| {
-                    self.edges[e].queue.len() + rate as usize <= self.edges[e].capacity
+                    edges[e].occupancy + rate as usize <= edges[e].capacity
                 });
                 if inputs_ok && outputs_ok {
-                    firing[i] = true;
-                } // else: stall accounting below
-            }
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if firing[i] {
+                    *fires = true;
                     node.fired += 1;
                     node.next_ready = cycle + node.ii;
                     fired_any = true;
-                } else if node.budget != Some(node.fired) && cycle >= node.next_ready {
-                    node.stalls += 1;
+                } else {
+                    node.stalls += 1; // ready but blocked on a FIFO
                 }
             }
             // Token movement after all firing decisions (no intra-cycle
             // forwarding: produced tokens become visible next cycle).
-            for (i, node) in self.nodes.iter().enumerate() {
-                if !firing[i] {
-                    continue;
-                }
+            for (node, _) in nodes.iter().zip(&firing).filter(|(_, &fires)| fires) {
                 for &(EdgeId(e), rate) in &node.inputs {
-                    for _ in 0..rate {
-                        self.edges[e].queue.pop_front();
-                    }
-                    self.edges[e].consumed += rate;
+                    // Saturating: two consumers of one edge may both have
+                    // seen its tokens; the second takes what is left.
+                    let edge = &mut edges[e];
+                    edge.occupancy = edge.occupancy.saturating_sub(rate as usize);
                 }
                 for &(EdgeId(e), rate) in &node.outputs {
-                    for _ in 0..rate {
-                        self.edges[e].queue.push_back(cycle + 1);
-                    }
-                    self.edges[e].produced += rate;
-                    let len = self.edges[e].queue.len();
-                    self.edges[e].high_water = self.edges[e].high_water.max(len);
+                    let edge = &mut edges[e];
+                    edge.occupancy += rate as usize;
+                    edge.produced += rate;
+                    edge.high_water = edge.high_water.max(edge.occupancy);
                 }
             }
             cycle += 1;
@@ -237,14 +256,102 @@ impl DataflowGraph {
                 }
             }
             assert!(cycle < max_cycles, "dataflow deadlock or runaway");
+            if state(nodes, edges, cycle).eq(snap.state.iter().copied()) {
+                let period = cycle - snap.cycle;
+                let k = skippable_periods(&snap, nodes, max_cycles - 1 - cycle, period);
+                if k > 0 {
+                    for (i, node) in nodes.iter_mut().enumerate() {
+                        node.fired += k * (node.fired - snap.fired[i]);
+                        node.stalls += k * (node.stalls - snap.stalls[i]);
+                        node.next_ready += k * period;
+                    }
+                    for (edge, &before) in edges.iter_mut().zip(&snap.produced) {
+                        edge.produced += k * (edge.produced - before);
+                    }
+                    cycle += k * period;
+                    skipped += k * period;
+                }
+                snap.take(cycle, nodes, edges);
+                power = 1;
+            } else if cycle - snap.cycle >= power {
+                snap.take(cycle, nodes, edges);
+                power *= 2;
+            }
         }
-        DataflowResult {
+        let result = DataflowResult {
             cycles: cycle,
-            firings: self.nodes.iter().map(|n| n.fired).collect(),
-            stalls: self.nodes.iter().map(|n| n.stalls).collect(),
-            tokens: self.edges.iter().map(|e| e.produced).collect(),
-            high_water: self.edges.iter().map(|e| e.high_water).collect(),
+            firings: nodes.iter().map(|n| n.fired).collect(),
+            stalls: nodes.iter().map(|n| n.stalls).collect(),
+            tokens: edges.iter().map(|e| e.produced).collect(),
+            high_water: edges.iter().map(|e| e.high_water).collect(),
+        };
+        (result, skipped)
+    }
+}
+
+/// Everything the next firing decisions read, at the start of `cycle`:
+/// per node, `u64::MAX` once its budget is spent, else the cycles left
+/// on its II timer; then each edge's occupancy.
+fn state<'a>(nodes: &'a [Node], edges: &'a [Edge], cycle: u64) -> impl Iterator<Item = u64> + 'a {
+    let timers = nodes.iter().map(move |n| {
+        if n.budget == Some(n.fired) {
+            u64::MAX
+        } else {
+            n.next_ready.saturating_sub(cycle)
         }
+    });
+    timers.chain(edges.iter().map(|e| e.occupancy as u64))
+}
+
+/// A run's state at one cycle, with the counters a repeat of that state
+/// advances.
+#[derive(Default)]
+struct Snapshot {
+    cycle: u64,
+    state: Vec<u64>,
+    fired: Vec<u64>,
+    stalls: Vec<u64>,
+    produced: Vec<u64>,
+}
+
+impl Snapshot {
+    fn take(&mut self, cycle: u64, nodes: &[Node], edges: &[Edge]) {
+        self.cycle = cycle;
+        self.state.clear();
+        self.state.extend(state(nodes, edges, cycle));
+        self.fired.clear();
+        self.fired.extend(nodes.iter().map(|n| n.fired));
+        self.stalls.clear();
+        self.stalls.extend(nodes.iter().map(|n| n.stalls));
+        self.produced.clear();
+        self.produced.extend(edges.iter().map(|e| e.produced));
+    }
+}
+
+/// How many more times the period just seen (from `snap` to now) can
+/// repeat unchanged: none if nothing fired in it (the run is going
+/// quiescent), else as many as keep every budgeted node at least one
+/// firing short of its budget — so no node is exhausted inside the
+/// skipped cycles — and fit in the `headroom` cycles under the guard.
+fn skippable_periods(snap: &Snapshot, nodes: &[Node], headroom: u64, period: u64) -> u64 {
+    let mut k = headroom / period;
+    let mut fired_any = false;
+    for (node, &before) in nodes.iter().zip(&snap.fired) {
+        let per_period = node.fired - before;
+        if per_period == 0 {
+            continue;
+        }
+        fired_any = true;
+        if let Some(budget) = node.budget {
+            // It fired this period and is not exhausted (its state
+            // entry matches the snapshot's), so `budget > fired`.
+            k = k.min((budget - node.fired - 1) / per_period);
+        }
+    }
+    if fired_any {
+        k
+    } else {
+        0
     }
 }
 
@@ -341,6 +448,24 @@ mod tests {
         g.node("Transfer", 1, &[f], &[], Some(4096));
         let r = g.run(100_000);
         assert!((4096..4200).contains(&r.cycles), "cycles {}", r.cycles);
+    }
+
+    #[test]
+    fn repeating_state_is_skipped_by_whole_periods() {
+        // A window-8 decimator between 1:1 stages settles into an 8-cycle
+        // period, so nearly all of a long run is skipped; that the
+        // skipped run equals the stepped one is checked on random chains
+        // by tests/dataflow_oracle.rs.
+        let mut g = DataflowGraph::new();
+        let a = g.edge(16);
+        let b = g.edge(16);
+        g.node("source", 1, &[], &[a], Some(80_000));
+        g.rated_node("window", 1, &[(a, 8)], &[(b, 1)], Some(10_000));
+        g.node("scale", 1, &[b], &[], Some(10_000));
+        let (r, skipped) = g.simulate(1_000_000);
+        assert_eq!(r.firings, vec![80_000, 10_000, 10_000]);
+        assert!((80_000..80_010).contains(&r.cycles), "cycles {}", r.cycles);
+        assert!(skipped > 79_000, "skipped {skipped} of {}", r.cycles);
     }
 
     #[test]

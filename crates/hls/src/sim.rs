@@ -418,7 +418,7 @@ pub fn run(cfg: &SimConfig) -> SimResult {
     assert!((0.0..1.0).contains(&cfg.reject_prob));
     let targets = vec![cfg.rns_per_workitem; cfg.n_workitems];
     if !cfg.compute_enabled {
-        return simulate(cfg, vec![Bypass; cfg.n_workitems], &targets);
+        return simulate(cfg, vec![Bypass; cfg.n_workitems], &targets, 1.0);
     }
     let threshold = (cfg.reject_prob * (1u64 << 32) as f64) as u64;
     let feeds = (0..cfg.n_workitems)
@@ -427,7 +427,8 @@ pub fn run(cfg: &SimConfig) -> SimResult {
             threshold,
         })
         .collect();
-    simulate(cfg, feeds, &targets)
+    // A work-item needs about 1 / (1 − reject_prob) iterations per RN.
+    simulate(cfg, feeds, &targets, 1.0 - cfg.reject_prob)
 }
 
 /// Run the cycle-level simulation driven by **recorded kernel iteration
@@ -459,17 +460,24 @@ pub fn run_from_traces(cfg: &SimConfig, traces: &[Vec<bool>]) -> SimResult {
             cursor: 0,
         })
         .collect();
-    simulate(cfg, feeds, &targets)
+    simulate(cfg, feeds, &targets, 1.0)
 }
 
-/// Shared engine: `targets[i]` is the RN count work-item `i` must deliver.
+/// Shared engine: `targets[i]` is the RN count work-item `i` must deliver,
+/// and `accept_rate` the share of compute iterations expected to yield
+/// one; the convergence bound grows with `1 / accept_rate`.
 ///
 /// Work-items share nothing but the channel, so each advances alone until
 /// it waits for a grant or is done. The channel's next grant is then at
 /// the later of its free cycle and the earliest waiting work-item's cycle,
 /// and goes to the first work-item in round-robin order that is waiting
 /// by then — which that work-item catches up to before its grant.
-fn simulate<F: Feed>(cfg: &SimConfig, feeds: Vec<F>, targets: &[u64]) -> SimResult {
+fn simulate<F: Feed>(
+    cfg: &SimConfig,
+    feeds: Vec<F>,
+    targets: &[u64],
+    accept_rate: f64,
+) -> SimResult {
     assert!(cfg.n_workitems > 0, "need at least one work-item");
     assert!(
         cfg.burst_rns > 0 && cfg.burst_rns.is_multiple_of(RNS_PER_BEAT),
@@ -478,15 +486,22 @@ fn simulate<F: Feed>(cfg: &SimConfig, feeds: Vec<F>, targets: &[u64]) -> SimResu
     let occ = cfg.channel.burst_occupancy(cfg.burst_rns);
     let max_target = targets.iter().copied().max().unwrap_or(0);
     // Saturating: a target near `u64::MAX` must not wrap the bound small.
+    let safety = (cfg.n_workitems as u64)
+        .saturating_mul(max_target)
+        .saturating_mul(occ + cfg.burst_rns)
+        / cfg.burst_rns.max(1)
+        * 8
+        + 4096;
     let p = Params {
         burst_rns: cfg.burst_rns,
         fifo_depth: cfg.fifo_depth as u64,
-        safety: (cfg.n_workitems as u64)
-            .saturating_mul(max_target)
-            .saturating_mul(occ + cfg.burst_rns)
-            / cfg.burst_rns.max(1)
-            * 8
-            + 4096,
+        // The float-to-int cast saturates; an accept rate of 1 keeps the
+        // bound exact.
+        safety: if accept_rate < 1.0 {
+            (safety as f64 / accept_rate) as u64
+        } else {
+            safety
+        },
     };
     let mut wis: Vec<WorkItem<F>> = feeds
         .into_iter()

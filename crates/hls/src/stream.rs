@@ -149,20 +149,6 @@ impl<T> Producer<T> {
         self.inner.not_empty.notify_one();
     }
 
-    /// Non-blocking write; `Err(value)` when the FIFO is full.
-    pub fn try_write(&self, value: T) -> Result<(), T> {
-        let mut st = self.inner.lock();
-        if st.buf.len() >= self.inner.capacity {
-            return Err(value);
-        }
-        st.buf.push_back(value);
-        let len = st.buf.len();
-        st.high_water = st.high_water.max(len);
-        drop(st);
-        self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
     /// (write stalls, read stalls) so far — same counters as
     /// [`Consumer::stalls`], readable from the writing side.
     pub fn stalls(&self) -> (u64, u64) {
@@ -216,17 +202,6 @@ impl<T> Consumer<T> {
         }
     }
 
-    /// Non-blocking read.
-    pub fn try_read(&self) -> Option<T> {
-        let mut st = self.inner.lock();
-        let v = st.buf.pop_front();
-        if v.is_some() {
-            drop(st);
-            self.inner.not_full.notify_one();
-        }
-        v
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.inner.lock().buf.len()
@@ -264,16 +239,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(rx.read(), Some(i));
         }
-    }
-
-    #[test]
-    fn try_write_respects_capacity() {
-        let (tx, rx) = Stream::with_depth(2);
-        assert!(tx.try_write(1).is_ok());
-        assert!(tx.try_write(2).is_ok());
-        assert_eq!(tx.try_write(3), Err(3));
-        assert_eq!(rx.try_read(), Some(1));
-        assert!(tx.try_write(3).is_ok());
     }
 
     #[test]

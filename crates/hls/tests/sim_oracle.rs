@@ -90,6 +90,7 @@ mod oracle {
                 threshold: reject_threshold,
             },
             &targets,
+            1.0 - cfg.reject_prob,
         )
     }
 
@@ -107,10 +108,16 @@ mod oracle {
                 cursor: vec![0; traces.len()],
             },
             &targets,
+            1.0,
         )
     }
 
-    fn run_inner(cfg: &SimConfig, mut source: AcceptSource<'_>, targets: &[u64]) -> SimResult {
+    fn run_inner(
+        cfg: &SimConfig,
+        mut source: AcceptSource<'_>,
+        targets: &[u64],
+        accept_rate: f64,
+    ) -> SimResult {
         assert!(cfg.n_workitems > 0, "need at least one work-item");
         assert!(
             cfg.burst_rns > 0 && cfg.burst_rns.is_multiple_of(RNS_PER_BEAT),
@@ -149,6 +156,11 @@ mod oracle {
             / cfg.burst_rns.max(1)
             * 8
             + 4096;
+        let safety = if accept_rate < 1.0 {
+            (safety as f64 / accept_rate) as u64
+        } else {
+            safety
+        };
 
         while wis.iter().any(|w| !w.done) {
             // --- complete in-flight bursts ---
@@ -442,18 +454,36 @@ fn edge_configurations_match_the_oracle() {
 
 #[test]
 fn both_engines_stop_at_the_convergence_bound() {
-    // One work-item rejecting 99% of its iterations needs ~100 cycles per
-    // RN, far beyond the safety bound of ~10 cycles per RN.
+    // A recorded trace accepting one iteration in a hundred needs ~100
+    // cycles per RN. Unlike the LCG model's, a trace's bound does not
+    // scale with its rejection rate: it allows ~10 cycles per RN.
+    let cfg = SimConfig {
+        n_workitems: 1,
+        ..SimConfig::default()
+    };
+    let traces = vec![(0..200_000).map(|j| j % 100 == 99).collect::<Vec<bool>>()];
+    assert!(catch_unwind(|| oracle::run_from_traces(&cfg, &traces)).is_err());
+    let err = catch_unwind(|| run_from_traces(&cfg, &traces))
+        .expect_err("the engine must not converge either");
+    let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert_eq!(msg, "simulation failed to converge");
+}
+
+#[test]
+fn lcg_bound_scales_with_the_rejection_rate() {
+    // The same ~100 cycles per RN from the LCG model at 99% rejection:
+    // its bound grows by 1 / (1 − reject_prob), so both engines finish,
+    // with one result.
     let cfg = SimConfig {
         n_workitems: 1,
         rns_per_workitem: 2_000,
         reject_prob: 0.99,
+        compute_enabled: true,
         ..SimConfig::default()
     };
-    assert!(catch_unwind(|| oracle::run(&cfg)).is_err());
-    let err = catch_unwind(|| run(&cfg)).expect_err("the engine must not converge either");
-    let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-    assert_eq!(msg, "simulation failed to converge");
+    let got = run(&cfg);
+    assert_same(&got, &oracle::run(&cfg), "99% rejection");
+    assert!(got.cycles > 100 * 2_000 * 9 / 10, "cycles {}", got.cycles);
 }
 
 #[test]

@@ -165,9 +165,12 @@ pub struct Gateway {
 
 impl Gateway {
     /// Build a gateway and its embedded runtime. All metrics — the
-    /// runtime's and the server's — share one recorder.
+    /// runtime's and the server's — share one recorder. It keeps metrics
+    /// only: a long-lived server must not accumulate every job's timeline
+    /// spans, which nothing reads; the runtime's bounded flight recorder
+    /// still keeps the recent timelines.
     pub fn new(config: GatewayConfig) -> Self {
-        let rec = Recorder::new();
+        let rec = Recorder::metrics_only();
         let mut rt_cfg = RuntimeConfig::new(config.workers).queue_bound(config.queue_bound);
         if let Some(dir) = config.cache_dir {
             rt_cfg = rt_cfg.disk_cache(dir);

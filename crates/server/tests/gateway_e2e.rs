@@ -397,3 +397,54 @@ fn jobs_over_the_sample_budget_get_400() {
     assert_eq!(u64_field(&result, "samples"), 8);
     gw.stop();
 }
+
+#[test]
+fn high_rejection_sim_completes_and_the_worker_survives() {
+    // 99% rejection needs ~100 cycles per RN. The simulator's convergence
+    // bound used to allow ~10 and panicked the only worker, after which
+    // every long-poll answered 204.
+    let gw = start_gateway(1);
+    let result = submit_and_wait(
+        &gw,
+        r#"{"sim":{"workitems":1,"rns_per_workitem":2000,"compute":true,"reject_prob":0.99}}"#,
+    );
+    let cfg = SimConfig {
+        n_workitems: 1,
+        rns_per_workitem: 2_000,
+        reject_prob: 0.99,
+        compute_enabled: true,
+        ..SimConfig::default()
+    };
+    assert_eq!(u64_field(&result, "cycles"), run(&cfg).cycles);
+    let result = submit_and_wait(
+        &gw,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":8,"seed":7},"plan":{"workitems":1}}"#,
+    );
+    assert_eq!(u64_field(&result, "samples"), 8);
+    gw.stop();
+}
+
+#[test]
+fn gateway_memory_holds_metrics_not_spans() {
+    // Every finished job exports its phase timeline. A long-lived server
+    // must keep the metrics it feeds, not the spans: nothing reads them,
+    // and they used to pile up at about six per job.
+    let gw = start_gateway(1);
+    for seed in 0..500 {
+        submit_and_wait(
+            &gw,
+            &format!(
+                r#"{{"kernel":{{"type":"truncated-normal","a":1.5,"quota":8,"seed":{seed}}},"plan":{{"workitems":1}}}}"#
+            ),
+        );
+    }
+    assert!(gw.gateway().recorder().events().is_empty());
+    let metrics = client::get(gw.addr, "/metrics", None).expect("metrics");
+    assert_eq!(metrics.status, 200);
+    assert!(
+        metrics.text().contains("dwi_runtime_phase_seconds"),
+        "{}",
+        metrics.text()
+    );
+    gw.stop();
+}

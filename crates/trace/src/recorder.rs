@@ -21,6 +21,8 @@ use std::time::Instant;
 pub(crate) struct Shared {
     epoch: Instant,
     events: Mutex<Vec<TraceEvent>>,
+    /// False for a metrics-only recorder: flushed span batches are dropped.
+    keep_events: bool,
     pub(crate) metrics: Registry,
 }
 
@@ -30,6 +32,9 @@ impl Shared {
     }
 
     fn push_events(&self, batch: &mut Vec<TraceEvent>) {
+        if !self.keep_events {
+            batch.clear();
+        }
         if batch.is_empty() {
             return;
         }
@@ -57,10 +62,24 @@ impl Recorder {
     /// Start a recording session; timestamps are nanoseconds since this
     /// call.
     pub fn new() -> Self {
+        Self::with_events(true)
+    }
+
+    /// A recorder that keeps metrics only: span and instant events are
+    /// dropped when a track flushes, so [`Recorder::events`] stays empty
+    /// and memory stays flat however long the session runs. For
+    /// long-lived services that read [`Recorder::metrics`] and never
+    /// export a timeline.
+    pub fn metrics_only() -> Self {
+        Self::with_events(false)
+    }
+
+    fn with_events(keep_events: bool) -> Self {
         Self {
             shared: Arc::new(Shared {
                 epoch: Instant::now(),
                 events: Mutex::new(Vec::new()),
+                keep_events,
                 metrics: Registry::new(),
             }),
         }
@@ -328,6 +347,19 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.track == TrackId::new(2, ProcessKind::Transfer)));
+    }
+
+    #[test]
+    fn metrics_only_recorder_drops_events_and_keeps_metrics() {
+        let rec = Recorder::metrics_only();
+        {
+            let t = rec.track(1, ProcessKind::Job);
+            t.span_at("execute", 0, 10);
+            t.instant("marker");
+            t.counter("jobs_total", &[]).inc();
+        }
+        assert!(rec.events().is_empty());
+        assert_eq!(rec.metrics().counter_value("jobs_total"), Some(1));
     }
 
     #[test]
