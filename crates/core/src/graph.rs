@@ -247,7 +247,7 @@ impl KernelGraph {
     /// phase count — the plan fingerprint alone carries only geometry, so
     /// without the kernel half two jobs differing *only* in per-work-item
     /// quota (same name, seed and plan) would collide in the result cache
-    /// and the in-flight dedup index. A multi-stage graph appends its
+    /// and serve the wrong report. A multi-stage graph appends its
     /// topology digest (which already embeds every node's quota) and edge
     /// depth, so two graphs sharing a source but differing anywhere
     /// downstream can never collide.
@@ -1043,8 +1043,7 @@ mod tests {
         );
         // The kernel half matters: the same plan under a different quota
         // must produce a different cache identity (jobs differing only in
-        // quota must never collide in the result cache or the in-flight
-        // dedup index).
+        // quota must never collide in the result cache).
         let doubled = KernelGraph::single(Arc::new(SeverityExpMix::credit_severity(128, 3)));
         let halved = KernelGraph::single(Arc::new(SeverityExpMix::credit_severity(64, 3)));
         assert_ne!(doubled.fingerprint(&plan), halved.fingerprint(&plan));

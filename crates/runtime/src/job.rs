@@ -286,9 +286,9 @@ impl JobError {
 /// a name but built with different constructor parameters never collide.
 ///
 /// This is the *one* constructor for the key — the in-memory LRU, the
-/// in-flight dedup map, the disk spill tier, and the server gateway all
-/// key off values built here, which is what makes a warm disk entry
-/// written by one process trustworthy to another.
+/// disk spill tier, and the server gateway all key off values built
+/// here, which is what makes a warm disk entry written by one process
+/// trustworthy to another.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
     kernel: &'static str,
@@ -401,12 +401,6 @@ pub(crate) struct JobInner {
     /// Total backpressure backoff the submitting thread slept out before
     /// this job was admitted (zero for first-try admissions).
     pub backoff: Duration,
-    /// In-flight-deduplicated repeats of this job: submissions with the
-    /// same `(kernel, plan, seed)` cache key that arrived while this job
-    /// was queued or running. They never entered the admission queue —
-    /// they are delivered this job's shared output (or its failure) in
-    /// the same critical section that makes this job terminal.
-    pub followers: Vec<Arc<JobState>>,
     /// Lifecycle milestones, marked at every scheduler transition and
     /// exported (histograms / Chrome spans / flight recorder) when the
     /// job turns terminal.
@@ -447,7 +441,6 @@ impl JobState {
                 cache_key: None,
                 admitted: now,
                 backoff: Duration::ZERO,
-                followers: Vec::new(),
                 timeline: JobTimeline::new(id, spec_client, priority.label()),
             }),
             cv: Condvar::new(),
@@ -507,18 +500,6 @@ impl JobState {
         self.cv.notify_all();
         self.fire_completion();
     }
-}
-
-/// Fail a job *and* every in-flight-dedup follower hanging off it. Used
-/// on runtime teardown, where whole shard trees are abandoned at once.
-pub(crate) fn fail_tree(state: &JobState, err: JobError) {
-    let followers = std::mem::take(&mut state.lock().followers);
-    for f in followers {
-        // Followers never have followers of their own (only a registered
-        // leader accrues them), so this recursion is depth-1.
-        fail_tree(&f, err);
-    }
-    state.finish(Status::Failed(err));
 }
 
 /// Client-side handle to a submitted job.

@@ -19,14 +19,16 @@
 //! ```text
 //! submit ──▶ admission queue ──▶ split(n) ──▶ shard queue ──▶ workers ──▶ merge ──▶ JobHandle::wait
 //!   │   (bounded; reject +     (explicit or    (any worker     (Backend::run
-//!   │    retry-after when       default shard   takes the       per graph shard)
-//!   ▼    full)                  count)          next shard)
+//!   │    retry-after when       one per         takes the       per graph shard)
+//!   ▼    full)                  worker)         next shard)
 //! result cache (source kernel, graph fingerprint, seed) ── hit? return immediately
 //! ```
 //!
 //! Each dispatch splits into the job's explicit [`JobSpec::shards`]
 //! override — what the parity paths (`table3 --runtime`) pin on — or
-//! else [`RuntimeConfig::default_shards`].
+//! else one shard per worker. A repeated job either hits the result
+//! cache at submission or runs again: every engine is deterministic per
+//! seed, so the re-run delivers the same bytes.
 //!
 //! Guarantees:
 //!
@@ -88,7 +90,7 @@ pub use remote::{RemoteChannel, RemoteError};
 pub use session::{Completion, Session, Ticket};
 pub use timeline::{JobOutcome, JobTimeline, ShardSpan, PHASES, STAGE_PHASES};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
@@ -117,8 +119,6 @@ pub struct RuntimeConfig {
     pub queue_bound: usize,
     /// Result-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Default shard count for kernel jobs (`None`: the worker count).
-    pub default_shards: Option<u32>,
     /// Flight-recorder capacity: the last N completed [`JobTimeline`]s
     /// are kept in an always-on ring (0 disables), dumpable via
     /// [`Runtime::flight_dump`] — the post-hoc answer to "what did the
@@ -147,7 +147,6 @@ impl RuntimeConfig {
             workers: workers.max(1),
             queue_bound: 64,
             cache_capacity: 32,
-            default_shards: None,
             flight_capacity: 256,
             disk_cache_dir: None,
             disk_cache_capacity: 256,
@@ -165,13 +164,6 @@ impl RuntimeConfig {
     /// Set the result-cache capacity (0 disables).
     pub fn cache_capacity(mut self, cap: usize) -> Self {
         self.cache_capacity = cap;
-        self
-    }
-
-    /// Set the default shard count for kernel jobs.
-    pub fn default_shards(mut self, shards: u32) -> Self {
-        assert!(shards >= 1);
-        self.default_shards = Some(shards);
         self
     }
 
@@ -220,18 +212,12 @@ pub(crate) struct Core {
     pub disk: Option<Mutex<DiskCache>>,
     pub queue_bound: usize,
     pub workers: usize,
-    pub default_shards: u32,
     /// Always-on ring of the last N completed job timelines.
     pub flight: FlightRecorder<JobTimeline>,
     /// Job-id mint.
     pub next_id: AtomicU64,
     /// Remote worker pools currently attached (drives the gauge).
     pub remote_workers: AtomicUsize,
-    /// In-flight dedup index: cache key → the job currently queued or
-    /// running under it. A submission that finds a live, non-terminal
-    /// entry attaches as a follower instead of enqueueing. `Weak` so a
-    /// rejected or torn-down leader never pins the map.
-    pub inflight: Mutex<HashMap<CacheKey, Weak<JobState>>>,
 }
 
 impl Core {
@@ -295,52 +281,6 @@ impl Core {
 
     pub fn wait_for_work<'a>(&self, st: MutexGuard<'a, SchedState>) -> MutexGuard<'a, SchedState> {
         self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn lock_inflight(&self) -> MutexGuard<'_, HashMap<CacheKey, Weak<JobState>>> {
-        self.inflight.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Drop `state`'s in-flight dedup registration, if it still owns the
-    /// entry (a later identical submission may have replaced it). Call
-    /// with the job's inner lock **released** — the lock order is always
-    /// inflight-map → job-inner, never reversed.
-    pub(crate) fn unregister_inflight(&self, key: &CacheKey, state: &Arc<JobState>) {
-        let mut map = self.lock_inflight();
-        if let Some(weak) = map.get(key) {
-            let stale = match weak.upgrade() {
-                Some(owner) => Arc::ptr_eq(&owner, state),
-                None => true,
-            };
-            if stale {
-                map.remove(key);
-            }
-        }
-    }
-
-    /// Deliver a finished leader's shared output to its dedup followers:
-    /// each live follower gets the same `Arc`-shared report (abort-checked
-    /// — a follower cancelled or expired while waiting still fails), plus
-    /// its own completion metrics and timeline, exactly as if it had run.
-    pub(crate) fn deliver_followers(&self, followers: Vec<Arc<JobState>>, cached: &CachedOutput) {
-        let now = std::time::Instant::now();
-        for f in followers {
-            if let Some(e) = f.abort_error(now) {
-                self.finalize_failed(&f, e);
-                continue;
-            }
-            let mut inner = f.lock();
-            let latency = inner.admitted.elapsed().as_secs_f64();
-            inner.timeline.cache_hit = true;
-            let tl = inner.timeline.finish(timeline::JobOutcome::Completed);
-            self.export_timeline(tl);
-            inner.status = Status::Done(Some(cached.to_output()));
-            drop(inner);
-            f.cv.notify_all();
-            f.fire_completion();
-            self.metrics.inflight_dedup();
-            self.metrics.job_completed(latency);
-        }
     }
 
     /// Close `state`'s timeline with `outcome`, returning the snapshot
@@ -436,14 +376,9 @@ impl Runtime {
             }),
             queue_bound: config.queue_bound,
             workers: config.workers,
-            default_shards: config
-                .default_shards
-                .unwrap_or(config.workers as u32)
-                .max(1),
             flight: FlightRecorder::new(config.flight_capacity),
             next_id: AtomicU64::new(0),
             remote_workers: AtomicUsize::new(0),
-            inflight: Mutex::new(HashMap::new()),
         });
         let handles = (0..config.workers)
             .map(|idx| {
@@ -579,34 +514,6 @@ impl Runtime {
                         return Ok(state);
                     }
                     self.core.metrics.cache_miss();
-                }
-                // In-flight dedup: an identical (kernel, plan, seed)
-                // submission already queued or running becomes the leader
-                // and this one attaches as a follower — it never enters
-                // the admission queue and is delivered the leader's
-                // shared output when the leader turns terminal. The map
-                // lock is taken before the leader's inner lock (the
-                // delivery sites release the inner lock before touching
-                // the map, so the order never inverts).
-                if let Some(key) = &cache_key {
-                    let mut map = self.core.lock_inflight();
-                    let leader = map.get(key).and_then(Weak::upgrade);
-                    if let Some(leader) = leader {
-                        let mut li = leader.lock();
-                        if matches!(li.status, Status::Queued | Status::Running) {
-                            li.followers.push(state.clone());
-                            drop(li);
-                            drop(map);
-                            // Followers count as submissions so the
-                            // conservation identity holds per attempt;
-                            // their completion lands at delivery.
-                            self.core.metrics.job_submitted(spec.priority);
-                            return Ok(state);
-                        }
-                        // Terminal leader that has not unregistered yet
-                        // (delivery races the map cleanup): replace it.
-                    }
-                    map.insert(key.clone(), Arc::downgrade(&state));
                 }
                 state.lock().cache_key = cache_key;
                 QueuedJob {
@@ -768,10 +675,10 @@ impl Drop for Runtime {
         // Unblock any waiters on work the pool never reached.
         let mut st = self.core.lock_state();
         while let Some(job) = st.queue.pop() {
-            crate::job::fail_tree(&job.state, JobError::Cancelled);
+            job.state.finish(Status::Failed(JobError::Cancelled));
         }
         while let Some(shard) = st.shards.pop_front() {
-            crate::job::fail_tree(&shard.state, JobError::Cancelled);
+            shard.state.finish(Status::Failed(JobError::Cancelled));
         }
         drop(st);
         // Flush the surviving LRU contents to the durable tier: short

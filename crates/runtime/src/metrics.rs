@@ -151,16 +151,10 @@ impl RuntimeMetrics {
             .observe_histogram(fam::GRAPH_STAGE_STALL_SECONDS, &[("stage", stage)], secs);
     }
 
-    /// High-water occupancy of one inter-stage FIFO over a completed
-    /// graph job (tokens).
+    /// Modeled peak occupancy of one inter-stage FIFO over a completed
+    /// graph job (tokens), from the merged report's dataflow model.
     pub fn graph_edge_high_water(&self, tokens: f64) {
         self.sink.observe(fam::GRAPH_EDGE_HIGH_WATER, &[], tokens);
-    }
-
-    /// One submission that attached as a waiter on an identical in-flight
-    /// job instead of re-running it.
-    pub fn inflight_dedup(&self) {
-        self.sink.counter(fam::INFLIGHT_DEDUP, &[]).inc();
     }
 
     /// Remote worker pools currently attached.

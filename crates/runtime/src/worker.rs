@@ -15,7 +15,7 @@ use dwi_core::backend::Backend;
 use dwi_core::graph::GraphReport;
 use dwi_trace::ProcessKind;
 
-use crate::job::{CachedOutput, JobError, Status};
+use crate::job::{CachedOutput, JobError, JobState, Status};
 use crate::queue::QueuedJob;
 use crate::shard::{ShardTask, ShardWork};
 use crate::timeline::JobOutcome;
@@ -129,14 +129,14 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
 
 impl Core {
     /// Turn one popped job into shard-queue entries: resolve the shard
-    /// count (explicit override, else the static default) and explode.
+    /// count (explicit override, else one per worker) and explode.
     /// Called with the scheduler lock held; returns it.
     pub(crate) fn dispatch<'a>(
         &self,
         mut st: MutexGuard<'a, SchedState>,
         job: QueuedJob,
     ) -> MutexGuard<'a, SchedState> {
-        let shards = job.shards.unwrap_or(self.default_shards);
+        let shards = job.shards.unwrap_or(self.workers as u32);
         self.metrics.shards_per_job(shards);
         let tasks = crate::shard::explode(job, shards);
         let fanout = tasks.len();
@@ -161,28 +161,14 @@ impl Core {
     }
 
     /// Terminal failure for a whole job (never exploded, or a task).
-    /// Dedup followers waiting on this job fail with it, each with its
-    /// own terminal metrics.
-    pub(crate) fn finalize_failed(&self, state: &Arc<crate::job::JobState>, err: JobError) {
+    pub(crate) fn finalize_failed(&self, state: &JobState, err: JobError) {
         match err {
             JobError::Cancelled => self.metrics.job_cancelled(),
             JobError::Expired => self.metrics.job_expired(),
         }
-        let (followers, key) = {
-            let mut inner = state.lock();
-            (std::mem::take(&mut inner.followers), inner.cache_key.take())
-        };
-        if let Some(k) = &key {
-            self.unregister_inflight(k, state);
-        }
         let tl = self.close_timeline(state, err.outcome());
         self.export_timeline(tl);
         state.finish(Status::Failed(err));
-        for f in followers {
-            // Followers never have followers of their own, so this
-            // recursion is depth-1.
-            self.finalize_failed(&f, err);
-        }
     }
 
     /// Account one finished (or skipped) graph shard; the last one
@@ -191,7 +177,7 @@ impl Core {
     /// `(worker, start, end)` for the timeline (`None` when skipped).
     pub(crate) fn finish_kernel_shard(
         &self,
-        state: &Arc<crate::job::JobState>,
+        state: &JobState,
         index: usize,
         span: Option<(u32, Instant, Instant)>,
         report: Option<GraphReport>,
@@ -234,22 +220,17 @@ impl Core {
             inner.timeline.record_stage_marks(&merged.stage_elapsed);
         }
         inner.timeline.mark_merged();
-        // Per-stage stall and edge-occupancy observations for the
-        // pipeline metric families, emitted after the locks drop.
-        let graph_obs = (!merged.is_single()).then(|| {
-            let stalls: Vec<(&'static str, f64)> = merged
-                .dataflow
-                .as_ref()
-                .map(|d| {
-                    graph
-                        .node_names()
-                        .into_iter()
-                        .zip(d.stage_stalls.iter())
-                        .map(|(n, &s)| (n, s as f64 / plan.base.freq_hz))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let high_water: Vec<f64> = merged.edges.iter().map(|e| e.high_water as f64).collect();
+        // Per-stage stall and per-edge occupancy observations for the
+        // pipeline metric families, both from the dataflow model and
+        // emitted after the locks drop.
+        let graph_obs = merged.dataflow.as_ref().map(|d| {
+            let stalls: Vec<(&'static str, f64)> = graph
+                .node_names()
+                .into_iter()
+                .zip(d.stage_stalls.iter())
+                .map(|(n, &s)| (n, s as f64 / plan.base.freq_hz))
+                .collect();
+            let high_water: Vec<f64> = d.edge_high_water.iter().map(|&h| h as f64).collect();
             (stalls, high_water)
         });
         let (output, cached) = if merged.is_single() {
@@ -271,16 +252,10 @@ impl Core {
         // never reversed. Evictions spill to disk only after the
         // job-inner lock drops — file I/O never runs under a
         // job's critical section.
-        let key = inner.cache_key.take();
-        let spill = match key.clone() {
-            Some(k) => self.lock_cache().put(k, cached.clone()),
+        let spill = match inner.cache_key.take() {
+            Some(k) => self.lock_cache().put(k, cached),
             None => Vec::new(),
         };
-        // Followers leave in the same critical section that makes
-        // the leader terminal, so no new follower can attach to a
-        // finished job (the attach path re-checks the status under
-        // this lock).
-        let followers = std::mem::take(&mut inner.followers);
         let tl = inner.timeline.finish(JobOutcome::Completed);
         // Export while the completion is not yet observable, so
         // a waiter that sees Done can immediately flight-dump
@@ -292,10 +267,6 @@ impl Core {
         state.cv.notify_all();
         state.fire_completion();
         self.metrics.job_completed(latency);
-        if let Some(k) = &key {
-            self.unregister_inflight(k, state);
-        }
-        self.deliver_followers(followers, &cached);
         if let Some((stalls, high_water)) = graph_obs {
             self.metrics.graph_job_completed();
             for (stage, secs) in stalls {

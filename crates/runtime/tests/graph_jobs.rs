@@ -3,17 +3,21 @@
 //! monolithic direct execution, share one result-cache namespace with the
 //! kernel path (a single-node graph *is* a kernel job), split their
 //! timeline's execute phase into stage sub-spans that still telescope
-//! exactly to end-to-end.
+//! exactly to end-to-end, and report per-edge occupancy from the
+//! dataflow model.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use dwi_core::graph::{GraphPlan, KernelGraph};
 use dwi_core::{
-    Backend, ExecutionPlan, FunctionalDecoupled, SeverityExpMix, SeverityScale,
+    credit_pipeline, Backend, ExecutionPlan, FunctionalDecoupled, SeverityExpMix, SeverityScale,
     TruncatedNormalKernel, WindowAggregate,
 };
+use dwi_rng::KernelConfig;
 use dwi_runtime::{JobOutput, JobSpec, Runtime, RuntimeConfig};
+use dwi_trace::metrics::parse_prometheus;
+use dwi_trace::{runtime_metrics as fam, Recorder};
 
 fn credit_graph(quota: u64, seed: u32) -> Arc<KernelGraph> {
     Arc::new(
@@ -122,4 +126,52 @@ fn stage_sub_spans_telescope_exactly_to_e2e() {
     );
     let sum: Duration = phases.iter().map(|(_, d)| *d).sum();
     assert_eq!(sum, tl.e2e().expect("terminal"), "telescoping broke");
+}
+
+#[test]
+fn edge_high_water_metric_reports_modeled_occupancy() {
+    // One work-item through the gamma → window-8 → scale pipeline at edge
+    // depth 8: the model fills the first edge to its depth (the window
+    // stage drains only once per eight tokens) while the second edge
+    // holds one token at a time.
+    let rec = Recorder::new();
+    let rt = Runtime::new(RuntimeConfig::new(1).trace(rec.sink()));
+    let kcfg = KernelConfig {
+        limit_main: 512,
+        limit_sec: 2,
+        seed: 7,
+        ..KernelConfig::default()
+    };
+    let report = rt.run_graph(
+        Arc::new(credit_pipeline(kcfg, 8, 7)),
+        GraphPlan::new(ExecutionPlan::new(1)).edge_depth(8),
+        7,
+    );
+    let modeled = &report
+        .dataflow
+        .as_ref()
+        .expect("multi-stage")
+        .edge_high_water;
+    assert_eq!(modeled[0], 8, "the first edge rides its depth");
+    drop(rt);
+    let samples = parse_prometheus(&rec.prometheus()).expect("valid exposition");
+    let sample = |key: String| {
+        samples
+            .iter()
+            .find(|(k, _)| *k == key)
+            .unwrap_or_else(|| panic!("{key} missing"))
+            .1
+    };
+    let name = fam::GRAPH_EDGE_HIGH_WATER;
+    // Summaries are exact below five observations: the 0.99 quantile of
+    // one job's two edges is their maximum.
+    assert_eq!(sample(format!("{name}_count")), modeled.len() as f64);
+    assert_eq!(
+        sample(format!("{name}{{quantile=\"0.99\"}}")),
+        modeled[0] as f64
+    );
+    assert_eq!(
+        sample(format!("{name}_sum")),
+        modeled.iter().sum::<usize>() as f64
+    );
 }

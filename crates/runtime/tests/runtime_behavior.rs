@@ -1,14 +1,17 @@
 //! Behavioural contract of the multi-tenant runtime: backpressure is a
 //! rejection (never a block or a panic), cancellation and deadlines free
-//! worker capacity, the cache serves repeats, fairness interleaves
+//! worker capacity, the cache serves repeats (a repeat submitted before
+//! the first run finishes runs again), fairness interleaves
 //! clients, and sharded execution over the pool is bit-identical to a
 //! monolithic run on every backend.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dwi_core::{ExecutionPlan, TruncatedNormalKernel};
+use dwi_core::graph::{GraphPlan, GraphReport, KernelGraph};
+use dwi_core::{Backend, ExecutionPlan, FunctionalDecoupled, RunReport, TruncatedNormalKernel};
 use dwi_runtime::{
     named_backend, JobError, JobSpec, Priority, Runtime, RuntimeConfig, SharedKernel,
 };
@@ -159,6 +162,49 @@ fn result_cache_serves_repeats_without_reexecution() {
     let m = rec.metrics();
     assert_eq!(m.counter_value("dwi_runtime_cache_hits_total"), Some(1));
     assert_eq!(m.counter_value("dwi_runtime_cache_misses_total"), Some(2));
+}
+
+/// [`FunctionalDecoupled`] that counts its graph runs — one per shard.
+struct CountingBackend(Arc<AtomicUsize>);
+
+impl Backend for CountingBackend {
+    fn name(&self) -> &'static str {
+        FunctionalDecoupled.name()
+    }
+
+    fn execute(&self, kernel: &dyn dwi_core::WorkItemKernel, plan: &ExecutionPlan) -> RunReport {
+        FunctionalDecoupled.execute(kernel, plan)
+    }
+
+    fn run(&self, graph: &KernelGraph, plan: &GraphPlan) -> GraphReport {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        FunctionalDecoupled.run(graph, plan)
+    }
+}
+
+#[test]
+fn concurrent_identical_jobs_each_run() {
+    // Two identical jobs queued behind a blocker: neither finds a cache
+    // entry at submission, so each runs on the backend — and, the
+    // engines being deterministic per seed, both deliver the same bytes.
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = runs.clone();
+    let rt = Runtime::with_backend_factory(RuntimeConfig::new(1), move |_| {
+        Box::new(CountingBackend(counter.clone()))
+    });
+    let (gate, release) = blocker(&rt);
+    let submit = || {
+        rt.submit(JobSpec::kernel(0, kernel(64, 5), ExecutionPlan::new(2), 5))
+            .expect("admitted")
+    };
+    let (a, b) = (submit(), submit());
+    release.send(()).unwrap();
+    gate.wait().expect("blocker completes");
+    let a = a.wait().expect("first completes").into_report();
+    let b = b.wait().expect("second completes").into_report();
+    assert_eq!(runs.load(Ordering::Relaxed), 2, "one backend run per job");
+    assert_eq!(a.samples, b.samples);
+    assert_eq!(a.cycles, b.cycles);
 }
 
 #[test]

@@ -348,12 +348,12 @@ impl Gateway {
                 deadline,
                 graph_json,
             } => {
-                // The runtime's cache/dedup key now folds every node's
+                // The runtime's cache key now folds every node's
                 // constructor-parameter digest into the fingerprint;
                 // folding the canonical spec hash into the seed stays as
                 // defense in depth for spec fields outside the
                 // fingerprint, while identical resubmissions keep
-                // identical keys (so they still cache and dedup).
+                // identical keys (so they still hit the cache).
                 let seed = CacheKey::fold_spec_seed(seed, graph_json.as_bytes());
                 let mut spec = JobSpec::graph(client, graph, plan, seed)
                     .priority(priority)

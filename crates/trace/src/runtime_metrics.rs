@@ -99,17 +99,12 @@ pub const GRAPH_JOBS: &str = "dwi_runtime_graph_jobs_total";
 /// argument: a well-balanced pipeline shows near-zero stall here.
 pub const GRAPH_STAGE_STALL_SECONDS: &str = "dwi_runtime_graph_stage_stall_seconds";
 
-/// Summary: high-water occupancy of one inter-stage FIFO (tokens), one
-/// observation per edge per completed graph job. An edge riding its
-/// configured depth is the back-pressure bottleneck; an edge near zero is
-/// starved.
+/// Summary: modeled peak occupancy of one inter-stage FIFO (tokens), one
+/// observation per edge per completed graph job. Read from the dataflow
+/// stepper — the same model as [`GRAPH_STAGE_STALL_SECONDS`] — so an
+/// edge riding its configured depth is the back-pressure bottleneck and
+/// an edge near zero is starved.
 pub const GRAPH_EDGE_HIGH_WATER: &str = "dwi_runtime_graph_edge_high_water";
-
-/// Counter: submissions that attached as waiters on an identical job
-/// already in flight (same kernel, plan and seed) instead of re-running
-/// it — the open-loop analogue of a cache hit, labelled
-/// `leader="<job id>"`-free (unlabelled) so storms aggregate cheaply.
-pub const INFLIGHT_DEDUP: &str = "dwi_runtime_inflight_dedup_total";
 
 /// Gauge: remote worker pools currently attached to the scheduler (each
 /// connected `dwi-server --worker` counts once).
@@ -177,7 +172,6 @@ pub const ALL: &[&str] = &[
     GRAPH_JOBS,
     GRAPH_STAGE_STALL_SECONDS,
     GRAPH_EDGE_HIGH_WATER,
-    INFLIGHT_DEDUP,
     REMOTE_WORKERS,
     REMOTE_SHARDS_EXECUTED,
     REMOTE_SHARD_LATENCY,
