@@ -68,7 +68,7 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
         match shard.work {
             ShardWork::Graph { graph, plan } => {
                 let report = backend.run(graph.as_ref(), &plan);
-                if track.is_enabled() {
+                if track.keeps_events() {
                     track.span_since(format!("job{} shard{}", shard.state.id, shard.index), t0);
                 }
                 let t_end = Instant::now();
@@ -89,7 +89,7 @@ pub(crate) fn worker_loop(idx: usize, core: Arc<Core>, backend: Box<dyn Backend 
             }
             ShardWork::Task(f) => {
                 let out = f();
-                if track.is_enabled() {
+                if track.keeps_events() {
                     track.span_since(format!("job{} task", shard.state.id), t0);
                 }
                 let t_end = Instant::now();

@@ -227,6 +227,18 @@ impl Track {
         self.shared.is_some()
     }
 
+    /// True when the recorder keeps timeline events. A track on a
+    /// metrics-only recorder buffers none: a long-lived thread's track
+    /// would otherwise hold one event per span until it is dropped.
+    #[inline]
+    pub fn keeps_events(&self) -> bool {
+        self.event_store().is_some()
+    }
+
+    fn event_store(&self) -> Option<&Shared> {
+        self.shared.as_deref().filter(|s| s.keep_events)
+    }
+
     /// The track's id.
     pub fn id(&self) -> TrackId {
         self.id
@@ -242,7 +254,7 @@ impl Track {
     /// to now.
     #[inline]
     pub fn span_since(&self, name: impl Into<Cow<'static, str>>, start_ns: u64) {
-        if let Some(s) = &self.shared {
+        if let Some(s) = self.event_store() {
             let end = s.now_ns();
             self.buf.borrow_mut().push(TraceEvent {
                 track: self.id,
@@ -261,7 +273,7 @@ impl Track {
     /// timeline is reconstructed after the fact.
     #[inline]
     pub fn span_at(&self, name: impl Into<Cow<'static, str>>, ts_ns: u64, dur_ns: u64) {
-        if self.shared.is_some() {
+        if self.keeps_events() {
             self.buf.borrow_mut().push(TraceEvent {
                 track: self.id,
                 name: name.into(),
@@ -274,7 +286,7 @@ impl Track {
     /// Record a zero-duration marker at now.
     #[inline]
     pub fn instant(&self, name: impl Into<Cow<'static, str>>) {
-        if let Some(s) = &self.shared {
+        if let Some(s) = self.event_store() {
             self.buf.borrow_mut().push(TraceEvent {
                 track: self.id,
                 name: name.into(),
@@ -356,6 +368,9 @@ mod tests {
             let t = rec.track(1, ProcessKind::Job);
             t.span_at("execute", 0, 10);
             t.instant("marker");
+            t.span_since("shard", t.now_ns());
+            assert!(!t.keeps_events());
+            assert!(t.buf.borrow().is_empty(), "nothing buffered until flush");
             t.counter("jobs_total", &[]).inc();
         }
         assert!(rec.events().is_empty());

@@ -9,12 +9,17 @@
 
 /// Counter: HTTP requests served, labelled `route` (the route pattern,
 /// e.g. `"/v1/jobs/{id}"`, never the raw path — unbounded label values
-/// would blow up the registry) and `code` (the numeric status).
+/// would blow up the registry; `"malformed"` for a request that failed to
+/// parse, `"internal"` for one whose routing panicked, `"refused"` for a
+/// connection turned away at the connection cap) and `code` (the numeric
+/// status).
 pub const HTTP_REQUESTS: &str = "dwi_server_http_requests_total";
 
-/// Histogram (log-scale buckets): wall-clock seconds from the first
-/// request byte parsed to the last response byte written, labelled
-/// `route`.
+/// Histogram (log-scale buckets): wall-clock seconds from a request's
+/// first byte arriving (or being found already buffered behind the
+/// previous request on its connection) to its response written, labelled
+/// `route`. Idle time between requests on a kept-alive connection is not
+/// counted.
 pub const HTTP_REQUEST_SECONDS: &str = "dwi_server_http_request_seconds";
 
 /// Counter: jobs accepted through `POST /v1/jobs`, labelled
@@ -28,7 +33,9 @@ pub const JOBS_SUBMITTED: &str = "dwi_server_jobs_submitted_total";
 /// view, the runtime row keeps the conservation identity.
 pub const JOBS_REJECTED: &str = "dwi_server_jobs_rejected_total";
 
-/// Gauge: TCP connections currently being served by handler threads.
+/// Gauge: open HTTP connections, each held by its own handler thread —
+/// kept-alive connections idling between requests included, the
+/// scraping connection too. Read when `/metrics` is scraped.
 pub const ACTIVE_CONNECTIONS: &str = "dwi_server_active_connections";
 
 /// Counter: long-polls (`GET /v1/jobs/{id}/wait`) that hit their bounded
