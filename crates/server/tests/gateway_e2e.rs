@@ -448,3 +448,29 @@ fn gateway_memory_holds_metrics_not_spans() {
     );
     gw.stop();
 }
+
+#[test]
+fn stop_closes_kept_alive_connections_and_flushes_the_disk_cache() {
+    // The client keeps this thread's connection open after the last
+    // exchange; `stop` must still end its handler, so the runtime drops
+    // (and spills its memory tier to disk) before `stop` returns.
+    let dir = std::env::temp_dir().join(format!("dwi_gw_stop_flush_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = GatewayConfig::new(1);
+    config.cache_dir = Some(dir.clone());
+    let gw = start(config, "127.0.0.1:0", None).expect("gateway binds");
+    submit_and_wait(
+        &gw,
+        r#"{"kernel":{"type":"truncated-normal","a":1.5,"quota":64,"seed":11},"plan":{"workitems":2}}"#,
+    );
+    gw.stop();
+    let entries = std::fs::read_dir(&dir)
+        .map(|d| {
+            d.filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|x| x == "dwic"))
+                .count()
+        })
+        .unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(entries > 0, "no cache entry on disk after stop");
+}
