@@ -578,14 +578,30 @@ pub trait Backend: Sync {
     /// `plan` — the universal entry point: a single-kernel job is the
     /// trivial one-node graph (and produces exactly the report
     /// [`execute`](Backend::execute) would), a multi-stage graph runs
-    /// pipe-connected through bounded FIFOs with per-stage sub-reports and
-    /// inter-stage stall accounting (see [`crate::graph::execute`]).
+    /// once, pipe-connected through bounded FIFOs, with per-stage
+    /// sub-reports and inter-stage stall accounting (see
+    /// [`crate::graph::execute`]).
     fn run(
         &self,
         graph: &crate::graph::KernelGraph,
         plan: &crate::graph::GraphPlan,
     ) -> crate::graph::GraphReport {
         crate::graph::execute(self, graph, plan)
+    }
+
+    /// The report [`execute`](Backend::execute) would give for one node
+    /// of a graph, built from what that node did in the pipe-connected
+    /// pass, or `None` when this backend's report needs a run of its own
+    /// (round maxima, lane traces, a shared-channel simulation): the
+    /// graph executor then re-runs the node as its own dispatch on the
+    /// previous node's streams. The default is `None`.
+    fn stage_report(
+        &self,
+        stage: &crate::graph::StageRun,
+        plan: &ExecutionPlan,
+    ) -> Option<RunReport> {
+        let _ = (stage, plan);
+        None
     }
 }
 
